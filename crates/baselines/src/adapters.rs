@@ -407,22 +407,4 @@ mod tests {
             assert!(obs.nodes > 0, "{}", miner.name());
         }
     }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_budget_shims_match_control_runs() {
-        let d = paper_example();
-        let ctl = MineControl::new().with_node_budget(Some(7));
-        let via_shim = crate::charm::charm_budgeted(&d, 1, Some(7));
-        let via_ctl = crate::charm::charm_with(&d, 1, &ctl, &mut NoOpObserver);
-        assert_eq!(via_shim.is_done(), via_ctl.is_done());
-        let via_shim = crate::closet::closet_budgeted(&d, 1, Some(3));
-        let via_ctl = crate::closet::closet_with(
-            &d,
-            1,
-            &ctl.clone().with_node_budget(Some(3)),
-            &mut NoOpObserver,
-        );
-        assert_eq!(via_shim.is_done(), via_ctl.is_done());
-    }
 }

@@ -208,21 +208,6 @@ pub fn charm(data: &Dataset, min_sup: usize) -> CharmResult {
         .expect_done("uncontrolled charm run")
 }
 
-/// [`charm`] with an optional budget on examined IT-pairs, for sweeps
-/// that must not hang on hopeless settings.
-#[deprecated(
-    since = "0.2.0",
-    note = "use charm_with with a MineControl carrying the budget"
-)]
-pub fn charm_budgeted(
-    data: &Dataset,
-    min_sup: usize,
-    pair_budget: Option<u64>,
-) -> crate::Budgeted<CharmResult> {
-    let ctl = MineControl::new().with_node_budget(pair_budget);
-    charm_with(data, min_sup, &ctl, &mut NoOpObserver)
-}
-
 /// [`charm`] under a [`MineControl`]: one control tick per examined
 /// IT-pair, so budgets, deadlines, and cooperative cancellation all land
 /// within milliseconds. Any control-triggered stop reports

@@ -57,21 +57,6 @@ pub fn closet(data: &Dataset, min_sup: usize) -> ClosetResult {
         .expect_done("uncontrolled closet run")
 }
 
-/// [`closet`] with an optional budget on conditional FP-trees built, for
-/// sweeps that must not hang on hopeless settings.
-#[deprecated(
-    since = "0.2.0",
-    note = "use closet_with with a MineControl carrying the budget"
-)]
-pub fn closet_budgeted(
-    data: &Dataset,
-    min_sup: usize,
-    tree_budget: Option<u64>,
-) -> crate::Budgeted<ClosetResult> {
-    let ctl = MineControl::new().with_node_budget(tree_budget);
-    closet_with(data, min_sup, &ctl, &mut NoOpObserver)
-}
-
 /// [`closet`] under a [`MineControl`]: one control tick per conditional
 /// FP-tree built. Any control-triggered stop reports
 /// [`Budgeted::BudgetExhausted`](crate::Budgeted) — a truncated CLOSET+

@@ -62,9 +62,8 @@ pub fn column_e(
     column_e_with(data, params, &ctl, &mut NoOpObserver)
 }
 
-/// [`column_e`] under a [`MineControl`]. The control's budget takes
-/// precedence over [`MiningParams::node_budget`]; any control-triggered
-/// stop reports [`Budgeted::BudgetExhausted`] because the subsumption
+/// [`column_e`] under a [`MineControl`]. Any control-triggered stop
+/// reports [`Budgeted::BudgetExhausted`] because the subsumption
 /// filter needs the full group set to be meaningful.
 pub fn column_e_with<O: MineObserver + ?Sized>(
     data: &Dataset,
@@ -85,7 +84,7 @@ pub fn column_e_with<O: MineObserver + ?Sized>(
         data,
         class_rows: &class_rows,
         min_sup: params.min_sup,
-        st: ctl.state_with_budget(ctl.node_budget.or(params.node_budget)),
+        st: ctl.state(),
         obs,
         frequent: &frequent,
         stats: ColumnEStats::default(),

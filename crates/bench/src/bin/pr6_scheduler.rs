@@ -1,6 +1,6 @@
-//! PR-6 scheduler guard: parallel scaling of the deque scheduler plus
-//! shared-memo effectiveness on the hub-skewed workload whose depth-1
-//! imbalance the scheduler was built for.
+//! Scheduler guard: parallel scaling of the deque scheduler on the
+//! hub-skewed workload whose depth-1 imbalance the scheduler was built
+//! for.
 //!
 //! Usage:
 //!
@@ -15,9 +15,8 @@
 //! 1-thread throughput (the whole point of work stealing + adaptive
 //! splitting), while on smaller hosts — where 4 workers time-slice one
 //! core — it only has to avoid regressing below a no-worse-than bound.
-//! The memo hit rate must be strictly positive either way: the skewed
-//! workload revisits closed sets constantly, so a zero hit rate means
-//! the table is disconnected, not that there was nothing to memoize.
+//! Reports written before the shared memo table was removed carry
+//! extra `memo_*` keys; `--check` ignores them.
 //! `FARMER_BENCH_SAMPLES` controls repetitions (default 3, best run
 //! wins).
 
@@ -25,10 +24,6 @@ use farmer_bench::workloads::{skewed_synth, SKEWED_SYNTH_PARAMS};
 use farmer_core::{Farmer, MiningParams};
 use farmer_support::json::{Json, ObjBuilder};
 use std::time::Instant;
-
-/// Memo size for the measured 4-thread run: big enough that drops are
-/// rare on this workload, small enough to stay cache-resident.
-const MEMO_CAPACITY: usize = 65_536;
 
 /// Scaling demanded of t=4 vs t=1 when the recording host had ≥ 4
 /// cores. 1.5× is deliberately below the 4× ideal: the skewed
@@ -47,11 +42,8 @@ const SCALE_BOUND_UNDERSIZED: f64 = 0.25;
 
 struct Measured {
     threads: usize,
-    memo_capacity: usize,
     nodes: u64,
     nodes_per_sec: f64,
-    memo_probes: u64,
-    memo_hits: u64,
     steals: u64,
 }
 
@@ -60,22 +52,17 @@ fn host_cores() -> usize {
 }
 
 /// Best-of-`samples` skewed_synth mine at the given parallelism.
-fn measure(threads: usize, memo_capacity: usize, samples: usize) -> Measured {
+fn measure(threads: usize, samples: usize) -> Measured {
     let data = skewed_synth();
     let (class, min_sup) = SKEWED_SYNTH_PARAMS;
     let params = MiningParams::new(class)
         .min_sup(min_sup)
         .lower_bounds(false);
-    let miner = Farmer::new(params)
-        .with_parallelism(threads)
-        .with_memo_capacity(memo_capacity);
+    let miner = Farmer::new(params).with_parallelism(threads);
     let mut out = Measured {
         threads,
-        memo_capacity,
         nodes: 0,
         nodes_per_sec: 0.0,
-        memo_probes: 0,
-        memo_hits: 0,
         steals: 0,
     };
     for _ in 0..samples {
@@ -84,27 +71,16 @@ fn measure(threads: usize, memo_capacity: usize, samples: usize) -> Measured {
         let secs = t0.elapsed().as_secs_f64();
         out.nodes = r.stats.nodes_visited;
         out.nodes_per_sec = out.nodes_per_sec.max(out.nodes as f64 / secs);
-        out.memo_probes = r.sched.memo.probes;
-        out.memo_hits = r.sched.memo.hits;
         out.steals = r.sched.steals;
     }
     out
 }
 
 fn row(m: &Measured) -> Json {
-    let hit_rate = if m.memo_probes > 0 {
-        m.memo_hits as f64 / m.memo_probes as f64
-    } else {
-        0.0
-    };
     ObjBuilder::new()
         .field("threads", m.threads)
-        .field("memo_capacity", m.memo_capacity)
         .field("nodes", m.nodes)
         .field("nodes_per_sec", m.nodes_per_sec)
-        .field("memo_probes", m.memo_probes)
-        .field("memo_hits", m.memo_hits)
-        .field("memo_hit_rate", hit_rate)
         .field("steals", m.steals)
         .build()
 }
@@ -114,19 +90,12 @@ fn run(out_path: &str) {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(3);
-    let t1 = measure(1, 0, samples);
-    let t4 = measure(4, MEMO_CAPACITY, samples);
+    let t1 = measure(1, samples);
+    let t4 = measure(4, samples);
     for m in [&t1, &t4] {
         eprintln!(
-            "skewed_synth t={} memo={:>5}: {:>9} nodes  {:>12.0} nodes/s  \
-             {} / {} memo hits, {} steals",
-            m.threads,
-            m.memo_capacity,
-            m.nodes,
-            m.nodes_per_sec,
-            m.memo_hits,
-            m.memo_probes,
-            m.steals,
+            "skewed_synth t={}: {:>9} nodes  {:>12.0} nodes/s  {} steals",
+            m.threads, m.nodes, m.nodes_per_sec, m.steals,
         );
     }
     eprintln!(
@@ -146,8 +115,8 @@ fn run(out_path: &str) {
     eprintln!("wrote {out_path}");
 }
 
-/// Enforces the scaling and memo-effectiveness bounds on an existing
-/// report; exits non-zero (panics) on violations.
+/// Enforces the scaling bound and the node-count equality on an
+/// existing report; exits non-zero (panics) on violations.
 fn check(path: &str) {
     let text = std::fs::read_to_string(path).expect("read report");
     let j = Json::parse(&text).expect("report must parse as JSON");
@@ -191,18 +160,7 @@ fn check(path: &str) {
         "t=4 scaling {scaling:.2}x below the {bound:.2}x bound \
          (recorded on a {recorded_cores}-core host)"
     );
-    let hit_rate = t4["memo_hit_rate"].as_f64().expect("memo_hit_rate");
-    let probes = t4["memo_probes"].as_u64().expect("memo_probes");
-    assert!(probes > 0, "memo never probed — table disconnected");
-    assert!(
-        hit_rate > 0.0,
-        "memo hit rate is zero over {probes} probes — table disconnected"
-    );
-    eprintln!(
-        "{path}: OK — {scaling:.2}x scaling (bound {bound:.2}x on {recorded_cores} cores), \
-         memo hit rate {:.1}%",
-        hit_rate * 100.0
-    );
+    eprintln!("{path}: OK — {scaling:.2}x scaling (bound {bound:.2}x on {recorded_cores} cores)");
 }
 
 fn main() {

@@ -85,8 +85,6 @@ pub struct MineArgs {
     pub node_budget: Option<u64>,
     /// Worker threads for `--algo farmer` (1 = sequential).
     pub threads: usize,
-    /// Shared prune/memo table slots for `--algo farmer` (0 = off).
-    pub memo_capacity: usize,
     /// Print heartbeat progress lines to stderr while mining.
     pub progress: bool,
     /// Print a machine-readable run report (JSON) to stdout.
@@ -255,6 +253,11 @@ pub fn parse(argv: &[String]) -> Result<Command> {
     if argv.iter().any(|a| a == "--help" || a == "-h") {
         return Ok(Command::Help);
     }
+    let Some(known) = known_flags(cmd) else {
+        return Err(CliError(format!(
+            "unknown command '{cmd}'; try `farmer help`"
+        )));
+    };
     // serve/query take the artifact as a positional argument
     // (`farmer serve x.fgi`); --artifact also works.
     let mut rest = &argv[1..];
@@ -265,7 +268,7 @@ pub fn parse(argv: &[String]) -> Result<Command> {
             rest = &rest[1..];
         }
     }
-    let opts = options(rest)?;
+    let opts = options(cmd, known, rest)?;
     match cmd.as_str() {
         "help" => Ok(Command::Help),
         "synth" => Ok(Command::Synth(SynthArgs {
@@ -293,7 +296,6 @@ pub fn parse(argv: &[String]) -> Result<Command> {
             timeout_ms: opt_num(&opts, "timeout-ms")?,
             node_budget: opt_num(&opts, "node-budget")?,
             threads: num(&opts, "threads", 1)?,
-            memo_capacity: num(&opts, "memo-capacity", 0)?,
             progress: flag(&opts, "progress"),
             stats_json: flag(&opts, "stats-json"),
             json: opts.get("json").and_then(|v| v.clone().map(PathBuf::from)),
@@ -404,20 +406,95 @@ pub fn parse(argv: &[String]) -> Result<Command> {
             class: opt_num(&opts, "class")?,
             limit: num(&opts, "limit", 10)?,
         })),
-        other => Err(CliError(format!(
-            "unknown command '{other}'; try `farmer help`"
-        ))),
+        _ => unreachable!("known_flags lists every command"),
     }
 }
 
-/// `--key value` and bare `--flag` pairs into a map.
-fn options(args: &[String]) -> Result<HashMap<String, Option<String>>> {
+/// The flags each subcommand reads, or `None` for an unknown command.
+/// [`options`] rejects every other flag, so a typo (`--min-supp`) or a
+/// retired flag fails loudly instead of silently keeping a default.
+fn known_flags(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
+        "help" => &[],
+        "synth" => &["preset", "col-scale", "rows", "genes", "seed", "out"],
+        "discretize" => &["in", "method", "out"],
+        "mine" => &[
+            "in",
+            "algo",
+            "class",
+            "min-sup",
+            "min-conf",
+            "min-chi",
+            "no-lower-bounds",
+            "k",
+            "timeout-ms",
+            "node-budget",
+            "threads",
+            "progress",
+            "stats-json",
+            "json",
+            "html",
+            "trace-out",
+            "metrics-out",
+            "limit",
+            "save-irgs",
+            "fgi-version",
+            "watch",
+            "journal",
+            "remine-debounce-ms",
+            "notify-url",
+            "notify-token",
+            "watch-idle-exit-ms",
+        ],
+        "topk" => &["in", "class", "k", "min-sup", "timeout-ms"],
+        "closed" => &["in", "algo", "min-sup", "limit"],
+        "classify" => &["train", "test", "method"],
+        "serve" => &[
+            "artifact",
+            "addr",
+            "workers",
+            "idle-exit-ms",
+            "max-inflight",
+            "admin-token",
+            "log-out",
+            "slow-ms",
+            "watch",
+            "base",
+            "journal",
+            "remine-debounce-ms",
+            "min-sup",
+            "min-conf",
+            "min-chi",
+            "class",
+            "no-lower-bounds",
+        ],
+        "ingest" => &["journal", "base", "items", "label", "rows"],
+        "query" => &["artifact", "items", "class", "limit"],
+        _ => return None,
+    })
+}
+
+/// `--key value` and bare `--flag` pairs into a map, rejecting any flag
+/// `cmd` does not know (with a did-you-mean hint for near misses).
+fn options(cmd: &str, known: &[&str], args: &[String]) -> Result<HashMap<String, Option<String>>> {
     let mut map = HashMap::new();
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
         let Some(key) = a.strip_prefix("--") else {
             return Err(CliError(format!("unexpected argument '{a}'")));
         };
+        if !known.contains(&key) {
+            let hint = known
+                .iter()
+                .map(|k| (edit_distance(key, k), *k))
+                .filter(|&(d, _)| d <= 2)
+                .min()
+                .map(|(_, k)| format!(" (did you mean --{k}?)"))
+                .unwrap_or_default();
+            return Err(CliError(format!(
+                "unknown flag --{key} for `farmer {cmd}`{hint}; try `farmer help`"
+            )));
+        }
         let value = match it.peek() {
             Some(v) if !v.starts_with("--") => Some(it.next().expect("peeked").clone()),
             _ => None,
@@ -425,6 +502,23 @@ fn options(args: &[String]) -> Result<HashMap<String, Option<String>>> {
         map.insert(key.to_string(), value);
     }
     Ok(map)
+}
+
+/// Levenshtein distance between two flag names.
+fn edit_distance(a: &str, b: &str) -> usize {
+    let b: Vec<char> = b.chars().collect();
+    // prev[j] = distance between the prefix of `a` seen so far and b[..j]
+    let mut prev: Vec<usize> = (0..=b.len()).collect();
+    for (i, ca) in a.chars().enumerate() {
+        let mut row = vec![i + 1; b.len() + 1];
+        for (j, &cb) in b.iter().enumerate() {
+            row[j + 1] = (prev[j] + usize::from(ca != cb))
+                .min(prev[j + 1] + 1)
+                .min(row[j] + 1);
+        }
+        prev = row;
+    }
+    prev[b.len()]
 }
 
 fn get_or(opts: &HashMap<String, Option<String>>, key: &str, default: &str) -> String {
@@ -527,7 +621,6 @@ mod tests {
                 assert_eq!(m.timeout_ms, None);
                 assert_eq!(m.node_budget, None);
                 assert_eq!(m.threads, 1);
-                assert_eq!(m.memo_capacity, 0);
                 assert!(!m.progress);
                 assert!(!m.stats_json);
                 assert_eq!(m.json, None);
@@ -554,8 +647,6 @@ mod tests {
             "10000",
             "--threads",
             "4",
-            "--memo-capacity",
-            "65536",
             "--progress",
             "--stats-json",
             "--trace-out",
@@ -570,7 +661,6 @@ mod tests {
                 assert_eq!(m.timeout_ms, Some(250));
                 assert_eq!(m.node_budget, Some(10000));
                 assert_eq!(m.threads, 4);
-                assert_eq!(m.memo_capacity, 65536);
                 assert!(m.progress);
                 assert!(m.stats_json);
                 assert_eq!(m.trace_out, Some(PathBuf::from("t.json")));
@@ -839,6 +929,42 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_per_subcommand() {
+        // a retired flag: named, with no hint (nothing in `mine` is close)
+        let err = parse(&sv(&["mine", "--in", "d.txt", "--memo-capacity", "4096"])).unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.contains("--memo-capacity"), "{msg}");
+        assert!(msg.contains("farmer mine"), "{msg}");
+        assert!(!msg.contains("did you mean"), "{msg}");
+        // a typo: named, with the closest real flag suggested
+        let err = parse(&sv(&["mine", "--in", "d.txt", "--min-supp", "3"])).unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.contains("--min-supp"), "{msg}");
+        assert!(msg.contains("did you mean --min-sup?"), "{msg}");
+        // the unknown flag is reported even when a required one is missing
+        let err = parse(&sv(&["mine", "--min-supp", "3"])).unwrap_err();
+        assert!(err.to_string().contains("--min-supp"), "{err}");
+        // known flags are per subcommand: `--threads` is a `mine` flag only
+        let err = parse(&sv(&["topk", "--in", "d.txt", "--threads", "2"])).unwrap_err();
+        let msg = err.to_string();
+        assert!(
+            msg.contains("--threads") && msg.contains("farmer topk"),
+            "{msg}"
+        );
+        let err = parse(&sv(&["serve", "g.fgi", "--node-budget", "5"])).unwrap_err();
+        assert!(err.to_string().contains("farmer serve"), "{err}");
+    }
+
+    #[test]
+    fn edit_distance_counts_single_char_edits() {
+        assert_eq!(edit_distance("min-sup", "min-sup"), 0);
+        assert_eq!(edit_distance("min-supp", "min-sup"), 1);
+        assert_eq!(edit_distance("mni-sup", "min-sup"), 2);
+        assert_eq!(edit_distance("", "k"), 1);
+        assert_eq!(edit_distance("threads", ""), 7);
     }
 
     #[test]

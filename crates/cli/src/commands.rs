@@ -185,11 +185,7 @@ impl MineObserver for ProgressObserver {
 /// same interesting-rule-group question.
 fn miner_for(a: &MineArgs, params: &MiningParams, data: &Dataset) -> Result<Box<dyn Miner>> {
     Ok(match a.algo.as_str() {
-        "farmer" => Box::new(
-            Farmer::new(params.clone())
-                .with_parallelism(a.threads)
-                .with_memo_capacity(a.memo_capacity),
-        ),
+        "farmer" => Box::new(Farmer::new(params.clone()).with_parallelism(a.threads)),
         "topk" => Box::new(TopKMiner {
             class: params.target_class,
             k: a.k,

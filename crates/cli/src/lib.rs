@@ -75,9 +75,6 @@ MINE OPTIONS:
   --timeout-ms <ms>   stop after this long; prints the valid partial result
   --node-budget <n>   stop after n enumeration nodes (same partial semantics)
   --threads <n>       worker threads for --algo farmer (default 1)
-  --memo-capacity <n> shared prune/memo table slots for --algo farmer
-                      (default 0 = off; workers skip subtrees any worker
-                      already closed)
   --progress          heartbeat progress lines on stderr
   --stats-json        machine-readable run report (JSON) instead of text
   --json/--html <p>   write the full result to a file

@@ -142,17 +142,6 @@ pub fn stats_json(
                 .build(),
         )
         .field(
-            "memo",
-            ObjBuilder::new()
-                .field("capacity", sched.memo.capacity)
-                .field("probes", sched.memo.probes)
-                .field("hits", sched.memo.hits)
-                .field("misses", sched.memo.misses)
-                .field("inserts", sched.memo.inserts)
-                .field("collisions", sched.memo.collisions)
-                .build(),
-        )
-        .field(
             "trace",
             match trace {
                 Some(report) => trace_stats_json(report),

@@ -56,7 +56,6 @@ pub mod carpenter;
 pub mod cobbler;
 pub mod cond;
 pub mod measures;
-pub mod memo;
 pub mod minelb;
 pub mod naive;
 pub mod session;
@@ -69,7 +68,6 @@ mod params;
 mod rule;
 
 pub use index::GroupIndex;
-pub use memo::{MemoStats, MemoTable};
 pub use miner::{Farmer, NodeScratch};
 pub use params::{Engine, ExtraConstraint, MiningParams, PruningConfig};
 pub use rule::{canonical_sort, dump_groups, MineResult, MineStats, RuleGroup, SchedStats};

@@ -2,7 +2,6 @@
 
 use crate::cond::{BitsetNode, CondNode, Inspect, PointerNode};
 use crate::measures::{self, chi_square, chi_square_upper_bound, convex_upper_bound, Contingency};
-use crate::memo::{self, MemoTable};
 use crate::minelb::mine_lower_bounds;
 use crate::params::{Engine, ExtraConstraint, MiningParams, PruningConfig};
 use crate::rule::{MineResult, MineStats, RuleGroup, SchedStats};
@@ -110,7 +109,6 @@ pub struct Farmer {
     pruning: PruningConfig,
     engine: Engine,
     threads: usize,
-    memo_capacity: usize,
     harvest: bool,
     frontier: Option<RowSet>,
 }
@@ -124,7 +122,6 @@ impl Farmer {
             pruning: PruningConfig::default(),
             engine: Engine::default(),
             threads: 1,
-            memo_capacity: 0,
             harvest: false,
             frontier: None,
         }
@@ -193,39 +190,6 @@ impl Farmer {
     pub fn with_parallelism(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
-    }
-
-    /// Enables the shared prune/memo table with (at least) `capacity`
-    /// slots; `0` (the default) disables it.
-    ///
-    /// The table memoizes the backward scan of pruning strategy 2: once
-    /// any worker closes a row set, every later node with an equal
-    /// closed set — on any thread — is pruned by a single digest probe
-    /// instead of a rescan. A hit is provably equivalent to the back
-    /// scan it replaces (see [`memo`]), so the memo never changes which
-    /// groups are emitted or any [`MineStats`] counter; it only
-    /// relocates where the `pruned_duplicate` time is spent. When
-    /// pruning strategies 1 or 2 are disabled the equivalence argument
-    /// breaks down, so the memo silently stays off for those ablation
-    /// configs.
-    pub fn with_memo_capacity(mut self, capacity: usize) -> Self {
-        self.memo_capacity = capacity;
-        self
-    }
-
-    /// The memo table this run should use, if any: requested *and*
-    /// sound. A memo hit asserts "an equal closed row set already
-    /// passed the back scan", which substitutes for this node's back
-    /// scan only while strategy 2 performs that scan and strategy 1
-    /// guarantees at most one back-scan survivor per closed set —
-    /// with compression off, both `{z₁}`-closers and deeper
-    /// `{z₁,z₂}`-closers survive the scan, and memo-pruning the deeper
-    /// one would drop its descendants' groups.
-    fn memo_table(&self) -> Option<MemoTable> {
-        (self.memo_capacity > 0
-            && self.pruning.strategy1_compression
-            && self.pruning.strategy2_duplicate)
-            .then(|| MemoTable::new(self.memo_capacity))
     }
 
     /// Mines all interesting rule groups of `data` for the configured
@@ -365,12 +329,6 @@ impl Farmer {
         }
     }
 
-    /// The budget honored by a session: the control's, falling back to
-    /// the deprecated params field.
-    fn resolve_budget(&self, ctl: &MineControl) -> Option<u64> {
-        ctl.node_budget.or(self.params.node_budget)
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn run<N, O, T>(
         &self,
@@ -391,7 +349,6 @@ impl Farmer {
         let n = reordered.n_rows();
         let m = tt.n_target();
         let eff_min_conf = self.effective_min_conf(n, m);
-        let memo = self.memo_table();
         let mut ctx = Ctx {
             params: &self.params,
             pruning: &self.pruning,
@@ -399,7 +356,7 @@ impl Farmer {
             m,
             eff_min_conf,
             pos_mask: RowSet::from_ids(n, 0..m),
-            ctl: ctl.state_with_budget(self.resolve_budget(ctl)),
+            ctl: ctl.state(),
             heartbeat_every: ctl.heartbeat_every,
             start: Instant::now(),
             obs,
@@ -409,7 +366,6 @@ impl Farmer {
             irgs: Vec::new(),
             defer_interesting: self.harvest,
             frontier,
-            memo: memo.as_ref(),
             split: None,
             current_root: 0,
         };
@@ -436,9 +392,7 @@ impl Farmer {
             steals: 0,
             worker_nodes: vec![stats.nodes_visited],
             peak_arena_depth: scratch.peak_depth(),
-            memo: memo.as_ref().map(MemoTable::snapshot).unwrap_or_default(),
         };
-        emit_memo_counters(tracer, &sched.memo);
         self.package(irgs, stats, sched, reordered, order, n, m, tracer)
     }
 
@@ -454,13 +408,12 @@ impl Farmer {
     /// as packed `(root, child)` tasks instead of recursing, and the
     /// claimant replays the child's exact recursion state from the
     /// shared root scan — the visited-node multiset is identical to the
-    /// unsplit run, so [`MineStats`] stay deterministic. Workers also
-    /// share one [`MemoTable`] (when enabled), letting any worker skip
-    /// subtrees another already closed. Threshold-passing groups are
-    /// merged and the interestingness filter runs as a final pass
-    /// (equivalent to step 7 by Lemma 3.4); for complete runs the merged
-    /// output and [`MineStats`] are deterministic regardless of
-    /// scheduling. The workers run uninstrumented (their `MineStats`
+    /// unsplit run, so [`MineStats`] stay deterministic.
+    /// Threshold-passing groups are merged and the interestingness
+    /// filter runs as a final pass (equivalent to step 7 by Lemma 3.4);
+    /// for complete runs the merged output and [`MineStats`] are
+    /// deterministic regardless of scheduling. The workers run
+    /// uninstrumented (their `MineStats`
     /// already tally everything); after the join, `obs` receives each
     /// worker's counters via [`MineObserver::worker_finished`] in
     /// worker-index order, and the sequential merge pass fires the
@@ -496,10 +449,8 @@ impl Farmer {
         let m = tt.n_target();
         let eff_min_conf = self.effective_min_conf(n, m);
         let threads = self.threads;
-        let shared_budget = self.resolve_budget(ctl).map(SharedBudget::new);
+        let shared_budget = ctl.node_budget.map(SharedBudget::new);
         let budget = shared_budget.as_ref();
-        let memo = self.memo_table();
-        let memo_ref = memo.as_ref();
 
         // replicate the sequential root step once (no compression at the
         // root, exact candidates), then queue the depth-1 subtrees
@@ -566,7 +517,6 @@ impl Farmer {
                             irgs: Vec::new(),
                             defer_interesting: true,
                             frontier,
-                            memo: memo_ref,
                             split: Some(SplitCtx {
                                 deque: &deques[w],
                                 hungry,
@@ -792,8 +742,6 @@ impl Farmer {
                 by_upper.entry(p.upper.clone()).or_insert(p);
             }
         }
-        sched.memo = memo.as_ref().map(MemoTable::snapshot).unwrap_or_default();
-        emit_memo_counters(tracer, &sched.memo);
 
         // final interestingness pass: generality order, keep a group iff
         // no accepted more-general group has confidence >= its own
@@ -898,23 +846,6 @@ impl Farmer {
     }
 }
 
-/// Publishes the final memo-table counters on the main lane so traced
-/// runs fold memo traffic into the Chrome/Prometheus exports. One call
-/// per run (at merge time), not per node — the counters are already
-/// aggregated atomics.
-fn emit_memo_counters<T: TraceSink + ?Sized>(tracer: &T, memo: &memo::MemoStats) {
-    if tracer.enabled() && memo.capacity > 0 {
-        tracer.counter(trace::LANE_MAIN, trace::COUNTER_MEMO_HITS, memo.hits);
-        tracer.counter(trace::LANE_MAIN, trace::COUNTER_MEMO_MISSES, memo.misses);
-        tracer.counter(trace::LANE_MAIN, trace::COUNTER_MEMO_INSERTS, memo.inserts);
-        tracer.counter(
-            trace::LANE_MAIN,
-            trace::COUNTER_MEMO_COLLISIONS,
-            memo.collisions,
-        );
-    }
-}
-
 /// The scheduler hooks a parallel worker threads through its [`Ctx`]:
 /// everything a depth-1 node needs to shed its children to starving
 /// peers instead of recursing into them.
@@ -967,9 +898,6 @@ struct Ctx<'a, O: MineObserver + ?Sized, T: TraceSink + ?Sized> {
     /// rows and emit only groups whose support set touches them, in
     /// reordered (ORD) id space. `None` = unrestricted.
     frontier: Option<&'a RowSet>,
-    /// Shared memo table, when enabled *and* sound for the pruning
-    /// config (see [`Farmer::memo_table`]).
-    memo: Option<&'a MemoTable>,
     /// Parallel mode: the deque/starvation hooks for adaptive
     /// splitting. `None` in sequential runs.
     split: Option<SplitCtx<'a>>,
@@ -1196,28 +1124,6 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> Ctx<'_, O, T> {
             }
         }
 
-        // ---- Shared memo probe: before paying for the back scan, ask
-        // whether *any* worker already closed this exact row set. A hit
-        // is equivalent to a back-scan prune: with strategies 1+2 on
-        // (the gate for `memo` being `Some`), exactly one node per
-        // closed set survives the back scan and only survivors insert,
-        // so a present digest proves the survivor ran elsewhere — and
-        // this node, being a different node with an equal closed set,
-        // is exactly what Lemma 3.6 prunes. Counting it as
-        // `pruned_duplicate` therefore keeps every `MineStats` counter
-        // identical with the memo on or off, at any thread count.
-        let digest = match self.memo {
-            Some(_) => memo::rowset_digest(f.ins.z.words()),
-            None => 0,
-        };
-        if let Some(table) = self.memo {
-            if !is_root && table.probe(digest) {
-                self.stats.pruned_duplicate += 1;
-                self.obs.pruned(PruneReason::Duplicate);
-                return;
-            }
-        }
-
         // ---- Pruning strategy 2 (step 1 in the paper; our back scan is
         // part of the main scan). A row ordered before this node's deepest
         // row that occurs in every tuple — and was neither enumerated nor
@@ -1237,14 +1143,6 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> Ctx<'_, O, T> {
                 self.stats.pruned_duplicate += 1;
                 self.obs.pruned(PruneReason::Duplicate);
                 return;
-            }
-            // back-scan survivor: this is the unique node that closes
-            // `z`, so publish it for every other worker (and for later
-            // branches here). Publishing before the tight bounds is
-            // deliberate — equal-`z` nodes get back-scan-pruned whether
-            // or not the bounds kill this node afterwards.
-            if let Some(table) = self.memo {
-                table.insert(digest);
             }
         }
 

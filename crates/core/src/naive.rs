@@ -99,7 +99,7 @@ pub fn mine_naive_session<O: MineObserver + ?Sized>(
     let m = data.class_count(params.target_class);
     let class_rows = data.class_rows(params.target_class);
     let start = Instant::now();
-    let mut st = ctl.state_with_budget(ctl.node_budget.or(params.node_budget));
+    let mut st = ctl.state();
     let mut stop = StopCause::Completed;
 
     let mut by_support: HashMap<Vec<usize>, NaiveGroup> = HashMap::new();

@@ -48,20 +48,6 @@ pub struct MiningParams {
     /// Footnote-3 extension constraints, all of which must hold for a
     /// group to be reported (and all of which prune the search).
     pub extra: Vec<ExtraConstraint>,
-    /// Optional cap on enumeration nodes. When exhausted the search
-    /// stops and returns the groups discovered so far — a *superset-free
-    /// but possibly incomplete* answer: every returned group is a real
-    /// rule group meeting the thresholds, but groups not yet reached are
-    /// missing and a returned group may be dominated by an undiscovered
-    /// more-general one. Intended for downstream consumers (e.g.
-    /// classifier training) that degrade gracefully; `None` (default)
-    /// never truncates.
-    ///
-    /// **Deprecated location:** budgets belong to the run, not the
-    /// thresholds — prefer `MineControl::node_budget` (which also
-    /// carries deadlines and cancellation). This field remains honored
-    /// as a fallback when the control sets no budget.
-    pub node_budget: Option<u64>,
 }
 
 impl MiningParams {
@@ -75,7 +61,6 @@ impl MiningParams {
             min_chi: 0.0,
             lower_bounds: true,
             extra: Vec::new(),
-            node_budget: None,
         }
     }
 
@@ -108,18 +93,6 @@ impl MiningParams {
     /// Adds a footnote-3 extension constraint.
     pub fn constrain(mut self, c: ExtraConstraint) -> Self {
         self.extra.push(c);
-        self
-    }
-
-    /// Caps the number of enumeration nodes (see
-    /// [`node_budget`](Self::node_budget) for the truncation semantics).
-    #[deprecated(
-        since = "0.2.0",
-        note = "use MineControl::with_node_budget with Farmer::mine_session; \
-                the params field remains honored as a fallback"
-    )]
-    pub fn node_budget(mut self, budget: Option<u64>) -> Self {
-        self.node_budget = budget;
         self
     }
 

@@ -246,10 +246,6 @@ pub struct SchedStats {
     /// steady-state buffer footprint is `peak_arena_depth` frames per
     /// worker.
     pub peak_arena_depth: usize,
-    /// Shared memo-table traffic (all zeros when the memo is disabled).
-    /// The hit/miss split is timing-dependent under parallelism, which
-    /// is exactly why it lives here and not in [`MineStats`].
-    pub memo: crate::memo::MemoStats,
 }
 
 /// The result of one mining run.

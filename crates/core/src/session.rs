@@ -10,8 +10,7 @@
 //!   an empty default body, so a run with [`NoOpObserver`] monomorphizes
 //!   to exactly the uninstrumented code and costs nothing.
 //! * [`MineControl`] — the control plane of one run: an optional node
-//!   budget (subsuming `MiningParams::node_budget`), an optional
-//!   deadline, and a cooperative stop flag shareable across threads via
+//!   budget, an optional deadline, and a cooperative stop flag shareable across threads via
 //!   [`StopHandle`]. All miners in the workspace (FARMER, top-k, the
 //!   naive oracle, and the column-enumeration baselines) honor the same
 //!   control, checked at enumeration-node granularity so cancellation
@@ -313,15 +312,10 @@ const DEADLINE_CHECK_MASK: u64 = 63;
 /// The control plane of one mining run: node budget, deadline, and a
 /// cooperative stop flag. `Clone` shares the stop flag (that is how
 /// parallel workers — and [`StopHandle`]s — observe one cancellation).
-///
-/// The budget here subsumes the deprecated `MiningParams::node_budget`:
-/// when both are set, the control wins; when only the params field is
-/// set, it is honored for back-compatibility.
 #[derive(Clone, Debug, Default)]
 pub struct MineControl {
-    /// Optional cap on enumeration nodes (`None` never truncates). The
-    /// truncation semantics are those of the old params field: the
-    /// result is superset-free but possibly incomplete.
+    /// Optional cap on enumeration nodes (`None` never truncates). A
+    /// truncated result is superset-free but possibly incomplete.
     pub node_budget: Option<u64>,
     /// Optional wall-clock deadline.
     pub deadline: Option<Instant>,
@@ -385,22 +379,15 @@ impl MineControl {
         self.stop.load(Ordering::Relaxed)
     }
 
-    /// Per-run checking state with an explicit budget (callers resolve
-    /// their own fallbacks, e.g. the deprecated params field or a
-    /// per-thread split).
-    pub fn state_with_budget(&self, budget: Option<u64>) -> ControlState<'_> {
+    /// Per-run checking state using this control's own budget.
+    pub fn state(&self) -> ControlState<'_> {
         ControlState {
-            budget: budget.unwrap_or(u64::MAX),
+            budget: self.node_budget.unwrap_or(u64::MAX),
             shared: None,
             deadline: self.deadline,
             stop: &self.stop,
             ticks: 0,
         }
-    }
-
-    /// Per-run checking state using this control's own budget.
-    pub fn state(&self) -> ControlState<'_> {
-        self.state_with_budget(self.node_budget)
     }
 
     /// Per-run checking state drawing nodes from a budget pool *shared*

@@ -16,7 +16,6 @@
 //! upper bound.
 
 use crate::cond::{BitsetNode, CondNode};
-use crate::memo::{self, MemoStats, MemoTable};
 use crate::miner::{Frame, NodeScratch};
 use crate::rule::{MineResult, MineStats, RuleGroup, SchedStats};
 use crate::session::{
@@ -56,12 +55,6 @@ impl TopKGroup {
     }
 }
 
-/// Slot count of top-k's internal memo table. Fixed rather than
-/// configurable: top-k is sequential and bounded by the per-row heaps,
-/// so a small cache captures most duplicate subtrees and overflow only
-/// costs redundant back scans.
-const TOPK_MEMO_CAPACITY: usize = 4096;
-
 /// Result of [`mine_top_k`]: for every row of the dataset, its best `k`
 /// covering rule groups (possibly fewer when the row participates in
 /// fewer groups meeting `min_sup`).
@@ -80,10 +73,6 @@ pub struct TopKResult {
     pub budget_exhausted: bool,
     /// What ended the run.
     pub stop: StopCause,
-    /// Traffic on the search's internal duplicate-subtree memo table
-    /// (always on for top-k; capacity fixed). Purely observability —
-    /// a memo hit prunes exactly where the backward scan would.
-    pub memo: MemoStats,
 }
 
 /// Mines, for each row of `data`, the `k` best rule groups with
@@ -112,23 +101,6 @@ pub fn mine_top_k(data: &Dataset, class: ClassLabel, k: usize, min_sup: usize) -
         &MineControl::new(),
         &mut NoOpObserver,
     )
-}
-
-/// [`mine_top_k`] with an optional enumeration-node budget; see
-/// [`TopKResult::budget_exhausted`] for the truncation semantics.
-#[deprecated(
-    since = "0.2.0",
-    note = "use mine_top_k_session with a MineControl carrying the budget"
-)]
-pub fn mine_top_k_budgeted(
-    data: &Dataset,
-    class: ClassLabel,
-    k: usize,
-    min_sup: usize,
-    node_budget: Option<u64>,
-) -> TopKResult {
-    let ctl = MineControl::new().with_node_budget(node_budget);
-    mine_top_k_session(data, class, k, min_sup, &ctl, &mut NoOpObserver)
 }
 
 /// [`mine_top_k`] under a [`MineControl`] (budget / deadline /
@@ -188,7 +160,6 @@ where
         nodes_visited: 0,
         pruned_floor: 0,
         groups_offered: 0,
-        memo: MemoTable::new(TOPK_MEMO_CAPACITY),
     };
     let root = BitsetNode::root(&reordered);
     let e_p = RowSet::from_ids(n, 0..m);
@@ -222,7 +193,6 @@ where
         pruned_floor: ctx.pruned_floor,
         budget_exhausted: !ctx.stop.is_complete(),
         stop: ctx.stop,
-        memo: ctx.memo.snapshot(),
     }
 }
 
@@ -245,12 +215,6 @@ struct TopKCtx<'a, O: MineObserver + ?Sized, T: TraceSink + ?Sized> {
     nodes_visited: u64,
     pruned_floor: u64,
     groups_offered: usize,
-    /// Duplicate-subtree memo over closed-set digests. Top-k always
-    /// compresses and always back-scans (the [`Farmer`] soundness gate
-    /// holds unconditionally here), so the memo is always on.
-    ///
-    /// [`Farmer`]: crate::Farmer
-    memo: MemoTable,
 }
 
 impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> TopKCtx<'_, O, T> {
@@ -392,16 +356,8 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> TopKCtx<'_, O, T> {
             node.inspect_into(e_p, e_n, &mut f.ins);
         }
 
-        // duplicate-subtree pruning, as in FARMER strategy 2, fronted
-        // by the closed-set memo: a digest hit proves the unique
-        // back-scan survivor for this row set already ran, which is
-        // exactly the condition the scan below would detect
+        // duplicate-subtree pruning, as in FARMER strategy 2
         if !is_root {
-            let digest = memo::rowset_digest(f.ins.z.words());
-            if self.memo.probe(digest) {
-                self.obs.pruned(PruneReason::Duplicate);
-                return;
-            }
             let last = last.expect("non-root") as usize;
             if f.ins
                 .z
@@ -412,7 +368,6 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> TopKCtx<'_, O, T> {
                 self.obs.pruned(PruneReason::Duplicate);
                 return;
             }
-            self.memo.insert(digest);
         }
 
         let sup_p = f.ins.z.intersection_len(&self.pos_mask);
@@ -580,7 +535,6 @@ impl TopKMiner {
                 steals: 0,
                 worker_nodes: vec![res.nodes_visited],
                 peak_arena_depth: 0,
-                memo: res.memo.clone(),
             },
             n_rows: n,
             n_class: m,

@@ -30,10 +30,6 @@ pub const SPAN_NAMES: &[&str] = &[
     "lower_bounds",
     "steal",
     "nodes",
-    "memo_hits",
-    "memo_misses",
-    "memo_inserts",
-    "memo_collisions",
 ];
 
 /// A whole mining run (the [`Miner::mine_traced`] default wraps
@@ -58,15 +54,6 @@ pub const SPAN_LOWER_BOUNDS: SpanId = SpanId(6);
 pub const SPAN_STEAL: SpanId = SpanId(7);
 /// Counter track sampling `nodes_visited` per lane.
 pub const COUNTER_NODES: SpanId = SpanId(8);
-/// Counter: shared memo-table probe hits (one final sample per run,
-/// main lane, at merge/packaging time).
-pub const COUNTER_MEMO_HITS: SpanId = SpanId(9);
-/// Counter: memo-table probe misses.
-pub const COUNTER_MEMO_MISSES: SpanId = SpanId(10);
-/// Counter: digests published to the memo table.
-pub const COUNTER_MEMO_INSERTS: SpanId = SpanId(11);
-/// Counter: memo inserts dropped on a full probe window.
-pub const COUNTER_MEMO_COLLISIONS: SpanId = SpanId(12);
 
 /// Name table for the latency histograms, indexed by `HistId`.
 pub const HIST_NAMES: &[&str] = &["node_visit", "fused_scan", "lower_bound"];
@@ -125,10 +112,6 @@ mod tests {
             SPAN_LOWER_BOUNDS,
             SPAN_STEAL,
             COUNTER_NODES,
-            COUNTER_MEMO_HITS,
-            COUNTER_MEMO_MISSES,
-            COUNTER_MEMO_INSERTS,
-            COUNTER_MEMO_COLLISIONS,
         ] {
             assert!((id.0 as usize) < SPAN_NAMES.len());
         }

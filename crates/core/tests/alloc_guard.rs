@@ -19,7 +19,6 @@
 //! keeps the whole process single-threaded and the measurement exact.
 
 use farmer_core::cond::{BitsetNode, CondNode, Inspect, PointerNode};
-use farmer_core::memo::{rowset_digest, MemoTable};
 use farmer_core::{Engine, Farmer, MineControl, MiningParams, NoOpObserver, NoopTracer};
 use farmer_dataset::discretize::Discretizer;
 use farmer_dataset::synth::SynthConfig;
@@ -48,44 +47,16 @@ fn workload() -> farmer_dataset::Dataset {
 
 fn main() {
     hot_path_is_allocation_free_once_warm();
-    memo_and_deque_paths_are_allocation_free();
+    deque_paths_are_allocation_free();
     disabled_tracing_stays_allocation_free();
     println!("alloc_guard OK: hot path is allocation-free once warm");
 }
 
-/// The PR-6 additions to the per-node hot path: a memo probe/insert per
-/// back scan and deque push/pop/steal per scheduled task. Both work in
-/// fixed atomic arrays allocated at construction, so once built they
-/// must allocate exactly nothing — same bar as the fused kernels.
-fn memo_and_deque_paths_are_allocation_free() {
-    // ---- memo probe/insert/digest on a warm table
-    let d = workload();
-    let n = d.n_rows();
-    let m = d.class_count(1);
-    let e_p = RowSet::from_ids(n, 0..m);
-    let e_n = RowSet::from_ids(n, m..n);
-    let root = BitsetNode::root(&d);
-    let mut ins = Inspect::new(n);
-    root.inspect_into(&e_p, &e_n, &mut ins);
-    let table = MemoTable::new(1024);
-    let before = allocation_count();
-    for salt in 0..200u64 {
-        let digest = rowset_digest(ins.z.words()) ^ salt;
-        if !table.probe(digest) {
-            table.insert(digest);
-        }
-        assert!(
-            table.probe(digest) || salt > 8,
-            "window can drop, early slots can't"
-        );
-    }
-    assert_eq!(
-        allocation_count() - before,
-        0,
-        "memo digest/probe/insert must not allocate"
-    );
-
-    // ---- deque push/pop/steal on a warm ring
+/// The parallel scheduler's per-task path: deque push/pop/steal per
+/// scheduled task works in a fixed atomic ring allocated at
+/// construction, so once built it must allocate exactly nothing — same
+/// bar as the fused kernels.
+fn deque_paths_are_allocation_free() {
     let dq = WorkDeque::new(64);
     assert!(dq.push(1));
     assert_eq!(dq.pop(), Some(1));

@@ -1,13 +1,7 @@
 //! Node-budget semantics: truncation is flagged, results stay valid,
 //! and everything returned is a subset of the unbudgeted answer.
-//!
-//! Deliberately exercises the deprecated `MiningParams::node_budget`
-//! builder: it must keep working as the back-compat fallback for
-//! `MineControl::node_budget` (see `tests/session.rs` for the
-//! control-based path).
-#![allow(deprecated)]
 
-use farmer_core::{Farmer, MiningParams};
+use farmer_core::{Farmer, MineControl, MineResult, MiningParams, NoOpObserver};
 use farmer_dataset::discretize::Discretizer;
 use farmer_dataset::synth::SynthConfig;
 use std::collections::HashSet;
@@ -27,6 +21,11 @@ fn workload() -> farmer_dataset::Dataset {
     Discretizer::EqualDepth { buckets: 6 }.discretize(&m)
 }
 
+fn mine_with_budget(params: MiningParams, d: &farmer_dataset::Dataset, budget: u64) -> MineResult {
+    let ctl = MineControl::new().with_node_budget(Some(budget));
+    Farmer::new(params).mine_session(d, &ctl, &mut NoOpObserver)
+}
+
 #[test]
 fn budget_flag_and_subset() {
     let d = workload();
@@ -39,12 +38,7 @@ fn budget_flag_and_subset() {
         full.len()
     );
 
-    let tiny = Farmer::new(
-        params
-            .clone()
-            .node_budget(Some(full.stats.nodes_visited / 4)),
-    )
-    .mine(&d);
+    let tiny = mine_with_budget(params, &d, full.stats.nodes_visited / 4);
     assert!(tiny.stats.budget_exhausted);
     assert!(tiny.stats.nodes_visited <= full.stats.nodes_visited / 4 + 1);
 
@@ -72,9 +66,9 @@ fn generous_budget_changes_nothing() {
     let d = workload();
     let params = MiningParams::new(1).min_sup(2).lower_bounds(false);
     let full = Farmer::new(params.clone()).mine(&d);
-    let budgeted = Farmer::new(params.node_budget(Some(u64::MAX / 2))).mine(&d);
+    let budgeted = mine_with_budget(params, &d, u64::MAX / 2);
     assert!(!budgeted.stats.budget_exhausted);
-    let canon = |r: &farmer_core::MineResult| -> Vec<Vec<u32>> {
+    let canon = |r: &MineResult| -> Vec<Vec<u32>> {
         let mut v: Vec<Vec<u32>> = r
             .groups
             .iter()
@@ -89,7 +83,7 @@ fn generous_budget_changes_nothing() {
 #[test]
 fn budget_of_one_returns_empty() {
     let d = workload();
-    let r = Farmer::new(MiningParams::new(1).node_budget(Some(1))).mine(&d);
+    let r = mine_with_budget(MiningParams::new(1), &d, 1);
     assert!(r.stats.budget_exhausted);
     assert!(r.is_empty());
 }

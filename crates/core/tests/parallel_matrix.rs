@@ -1,7 +1,7 @@
-//! Determinism regression matrix for the deque scheduler + shared memo
-//! table: the canonical `dump_groups` output must be **byte-identical**
-//! across every {threads} × {engine} × {memo} combination, pinned
-//! against the 1-thread, memo-off, bitset run of the same workload.
+//! Determinism regression matrix for the deque scheduler: the canonical
+//! `dump_groups` output must be **byte-identical** across every
+//! {threads} × {engine} combination, pinned against the 1-thread bitset
+//! run of the same workload.
 //!
 //! The workloads come from the bench crate (a dev-only dependency):
 //! `skewed_synth` is the hub-skewed dataset whose depth-1 imbalance
@@ -20,12 +20,10 @@ fn mine_dump(
     params: &MiningParams,
     engine: Engine,
     threads: usize,
-    memo_capacity: usize,
 ) -> (String, farmer_core::MineStats) {
     let result = Farmer::new(params.clone())
         .with_engine(engine)
         .with_parallelism(threads)
-        .with_memo_capacity(memo_capacity)
         .mine(data);
     let mut groups = result.groups;
     canonical_sort(&mut groups);
@@ -33,27 +31,24 @@ fn mine_dump(
 }
 
 fn assert_matrix_pinned(data: &Dataset, params: &MiningParams, label: &str) {
-    let (reference, ref_stats) = mine_dump(data, params, Engine::Bitset, 1, 0);
+    let (reference, ref_stats) = mine_dump(data, params, Engine::Bitset, 1);
     assert!(!reference.is_empty(), "{label}: trivial reference run");
     for engine in [Engine::Bitset, Engine::PointerList] {
         for threads in [1usize, 2, 4, 8] {
-            for memo_capacity in [0usize, 65_536] {
-                let (dump, mut stats) = mine_dump(data, params, engine, threads, memo_capacity);
-                assert_eq!(
-                    dump, reference,
-                    "{label}: dump diverged at {engine:?} t={threads} memo={memo_capacity}"
-                );
-                // every parallel worker tallies the shared root once
-                // (long-standing convention, pinned by parallel.rs);
-                // normalize it away, then every deterministic counter
-                // must match — the memo substitutes for back scans
-                // one-for-one
-                stats.nodes_visited -= threads as u64 - 1;
-                assert_eq!(
-                    stats, ref_stats,
-                    "{label}: stats diverged at {engine:?} t={threads} memo={memo_capacity}"
-                );
-            }
+            let (dump, mut stats) = mine_dump(data, params, engine, threads);
+            assert_eq!(
+                dump, reference,
+                "{label}: dump diverged at {engine:?} t={threads}"
+            );
+            // every parallel worker tallies the shared root once
+            // (long-standing convention, pinned by parallel.rs);
+            // normalize it away, then every deterministic counter must
+            // match
+            stats.nodes_visited -= threads as u64 - 1;
+            assert_eq!(
+                stats, ref_stats,
+                "{label}: stats diverged at {engine:?} t={threads}"
+            );
         }
     }
 }
@@ -71,7 +66,7 @@ fn skewed_synth_matrix_is_byte_identical() {
 #[test]
 fn skewed_synth_matrix_with_thresholds() {
     // confidence + chi thresholds exercise the tight-bound prunes under
-    // the memo (inserts happen even for bound-killed survivors)
+    // every schedule
     let data = skewed_synth();
     let (class, min_sup) = SKEWED_SYNTH_PARAMS;
     let params = MiningParams::new(class)

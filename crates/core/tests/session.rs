@@ -8,8 +8,8 @@ use farmer_core::{
     NoOpObserver, PruneReason, StopCause,
 };
 use farmer_dataset::discretize::Discretizer;
-use farmer_dataset::paper_example;
 use farmer_dataset::synth::SynthConfig;
+use farmer_dataset::{paper_example, DatasetBuilder};
 use std::time::{Duration, Instant};
 
 /// A workload the full search finishes quickly but not trivially.
@@ -28,21 +28,18 @@ fn workload() -> farmer_dataset::Dataset {
     Discretizer::EqualDepth { buckets: 6 }.discretize(&m)
 }
 
-/// A workload whose full search at `min_sup = 1` would run for a very
-/// long time — only ever mined under a deadline or a stop flag.
+/// A workload whose search at `min_sup = 1` cannot finish, however
+/// fast the miner gets — only ever mined under a deadline or a stop
+/// flag. Row `i` holds every item except item `i`, so the rows sharing
+/// any itemset are exactly the rows missing its complement: every row
+/// subset is closed, and the tree has ~2^48 nodes.
 fn endless_workload() -> farmer_dataset::Dataset {
-    let m = SynthConfig {
-        n_rows: 30,
-        n_genes: 300,
-        n_class1: 15,
-        n_signature: 100,
-        clusters_per_class: 2,
-        cluster_spread: 1.6,
-        cluster_noise: 0.4,
-        ..Default::default()
+    const N: u32 = 48;
+    let mut b = DatasetBuilder::new(2);
+    for i in 0..N {
+        b.add_row((0..N).filter(|&item| item != i), i % 2);
     }
-    .generate();
-    Discretizer::EqualDepth { buckets: 6 }.discretize(&m)
+    b.build()
 }
 
 fn canon(groups: &[farmer_core::RuleGroup]) -> Vec<(Vec<u32>, usize, usize)> {
@@ -74,37 +71,6 @@ fn budgeted_run_returns_exact_prefix_of_full_run() {
              sequential discovery order"
         );
     }
-}
-
-#[test]
-fn control_budget_overrides_params_field_and_falls_back_to_it() {
-    let d = workload();
-    let mut params = MiningParams::new(1).min_sup(2).lower_bounds(false);
-    params.node_budget = Some(u64::MAX / 2);
-
-    // the control's tighter budget wins over the params field
-    let ctl = MineControl::new().with_node_budget(Some(50));
-    let r = Farmer::new(params.clone()).mine_session(&d, &ctl, &mut NoOpObserver);
-    assert_eq!(r.stats.stop, StopCause::Budget);
-    assert_eq!(r.stats.nodes_visited, 51);
-
-    // with no control budget the params field still applies
-    params.node_budget = Some(50);
-    let r = Farmer::new(params).mine_session(&d, &MineControl::new(), &mut NoOpObserver);
-    assert_eq!(r.stats.stop, StopCause::Budget);
-    assert_eq!(r.stats.nodes_visited, 51);
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_params_budget_matches_control_budget() {
-    let d = workload();
-    let base = MiningParams::new(1).min_sup(2).lower_bounds(false);
-    let via_params = Farmer::new(base.clone().node_budget(Some(200))).mine(&d);
-    let ctl = MineControl::new().with_node_budget(Some(200));
-    let via_ctl = Farmer::new(base).mine_session(&d, &ctl, &mut NoOpObserver);
-    assert_eq!(via_params.stats, via_ctl.stats);
-    assert_eq!(canon(&via_params.groups), canon(&via_ctl.groups));
 }
 
 #[test]

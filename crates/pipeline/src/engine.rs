@@ -75,7 +75,6 @@ fn harvest_params(template: &MiningParams, class: ClassLabel) -> MiningParams {
     p.min_chi = 0.0;
     p.extra.clear();
     p.lower_bounds = false;
-    p.node_budget = None;
     p
 }
 
@@ -124,7 +123,6 @@ impl IncrementalMiner {
                     .with_harvest(true)
                     .with_engine(engine)
                     .with_parallelism(threads)
-                    .with_memo_capacity(0)
                     .mine(&data)
                     .groups
                     .into_iter()
@@ -191,7 +189,6 @@ impl IncrementalMiner {
                 .with_frontier(frontier.clone())
                 .with_engine(self.engine)
                 .with_parallelism(self.threads)
-                .with_memo_capacity(0)
                 .mine(&merged);
             cache.extend(refreshed.groups.into_iter().map(cache_entry));
         }

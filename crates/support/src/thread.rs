@@ -7,7 +7,7 @@
 //! returns the guard directly, treating poisoning as recoverable the
 //! way parking_lot does.
 
-use std::sync::atomic::{fence, AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicI64, AtomicU64, Ordering};
 use std::sync::PoisonError;
 
 pub use std::sync::mpsc::{channel, Receiver, Sender};
@@ -128,91 +128,6 @@ impl WorkDeque {
     }
 }
 
-/// A work-stealing index queue over a fixed range `0..len`: workers
-/// claim disjoint chunks of indices with one atomic `fetch_add` each,
-/// so load imbalance self-corrects — a worker stuck in a heavy item
-/// simply claims fewer chunks while the others drain the rest.
-///
-/// This is deliberately the simplest stealing design that works for
-/// "few heavy, independent items" workloads (FARMER's depth-1 subtrees):
-/// there are no per-worker deques to steal *from*, just one shared
-/// cursor, which is contention-free in practice because chunk claims are
-/// rare relative to the work inside each item.
-#[derive(Debug)]
-pub struct StealQueue {
-    next: AtomicUsize,
-    len: usize,
-    chunk: usize,
-}
-
-impl StealQueue {
-    /// A queue over `0..len`, handing out chunks of `chunk` indices
-    /// (clamped to at least 1).
-    pub fn new(len: usize, chunk: usize) -> Self {
-        StealQueue {
-            next: AtomicUsize::new(0),
-            len,
-            chunk: chunk.max(1),
-        }
-    }
-
-    /// Claims the next chunk, returning its index range, or `None` when
-    /// the queue is drained. Each index is handed out exactly once
-    /// across all callers.
-    pub fn claim(&self) -> Option<std::ops::Range<usize>> {
-        let start = self.next.fetch_add(self.chunk, Ordering::Relaxed);
-        if start >= self.len {
-            return None;
-        }
-        Some(start..(start + self.chunk).min(self.len))
-    }
-
-    /// An iterator of this queue's indices for one worker: repeatedly
-    /// [`claim`](Self::claim)s chunks and yields their indices. Multiple
-    /// workers iterate the same queue concurrently; together they see
-    /// each index exactly once.
-    pub fn stealing_iter(&self) -> StealingIter<'_> {
-        StealingIter {
-            queue: self,
-            current: 0..0,
-            claims: 0,
-        }
-    }
-}
-
-/// One worker's view of a [`StealQueue`]; see
-/// [`StealQueue::stealing_iter`].
-#[derive(Debug)]
-pub struct StealingIter<'a> {
-    queue: &'a StealQueue,
-    current: std::ops::Range<usize>,
-    claims: u64,
-}
-
-impl StealingIter<'_> {
-    /// Chunks this worker claimed beyond its first — the "steals" in
-    /// work-stealing parlance (the first claim is the worker's own
-    /// share; later ones take work that a static split would have
-    /// assigned elsewhere).
-    pub fn steals(&self) -> u64 {
-        self.claims.saturating_sub(1)
-    }
-}
-
-impl Iterator for StealingIter<'_> {
-    type Item = usize;
-
-    fn next(&mut self) -> Option<usize> {
-        loop {
-            if let Some(i) = self.current.next() {
-                return Some(i);
-            }
-            self.current = self.queue.claim()?;
-            self.claims += 1;
-        }
-    }
-}
-
 /// Spawns scoped threads that may borrow from the enclosing stack
 /// frame; joins them all before returning.
 pub fn scope<'env, F, T>(f: F) -> T
@@ -275,46 +190,6 @@ mod tests {
         let mut got: Vec<u32> = rx.iter().collect();
         got.sort_unstable();
         assert_eq!(got, vec![0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn steal_queue_partitions_exactly() {
-        let q = StealQueue::new(103, 4);
-        let seen = Mutex::new(vec![0u32; 103]);
-        let steals = Mutex::new(Vec::new());
-        scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    let mut it = q.stealing_iter();
-                    let mut mine = Vec::new();
-                    for i in it.by_ref() {
-                        mine.push(i);
-                    }
-                    let mut guard = seen.lock();
-                    for i in mine {
-                        guard[i] += 1;
-                    }
-                    steals.lock().push(it.steals());
-                });
-            }
-        });
-        // every index claimed exactly once, by whichever worker got there
-        assert!(seen.lock().iter().all(|&c| c == 1));
-        // 103 items in chunks of 4 = 26 claims across 4 workers: at
-        // least one worker claimed more than once
-        assert_eq!(steals.lock().len(), 4);
-        assert!(steals.lock().iter().sum::<u64>() >= 26 - 4);
-    }
-
-    #[test]
-    fn steal_queue_empty_and_single() {
-        let q = StealQueue::new(0, 8);
-        assert_eq!(q.stealing_iter().count(), 0);
-        let q = StealQueue::new(1, 8);
-        let mut it = q.stealing_iter();
-        assert_eq!(it.next(), Some(0));
-        assert_eq!(it.next(), None);
-        assert_eq!(it.steals(), 0);
     }
 
     crate::check! {

@@ -8,21 +8,24 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release --offline --workspace"
 cargo build --release --offline --workspace
 
-echo "==> cargo test -q --offline --workspace"
-cargo test -q --offline --workspace
+echo "==> cargo test -q --offline --workspace --no-fail-fast"
+cargo test -q --offline --workspace --no-fail-fast
 
 echo "==> session layer (budgets, deadlines, cancellation, observers)"
 cargo test -q --offline -p farmer-core --test session
+# release mode runs the search fastest: stop/deadline tests must hold
+# there too (their workload is endless by construction)
+cargo test -q --offline --release -p farmer-core --test session
 cargo test -q --offline -p farmer-baselines adapters
 
 echo "==> allocation guard (hot path must not allocate once warm; release)"
 cargo test -q --offline --release -p farmer-core --test alloc_guard
 
-echo "==> parallel determinism matrix (threads x engine x memo, byte-pinned)"
+echo "==> parallel determinism matrix (threads x engine, byte-pinned)"
 cargo test -q --offline -p farmer-core --test parallel_matrix
 
-echo "==> memo hammer (8 threads on a 16-slot table vs sequential oracle)"
-cargo test -q --offline --test stress memo_hammer
+echo "==> parallel hammer (8 threads, both engines, vs sequential oracle)"
+cargo test -q --offline --test stress parallel_hammer
 
 echo "==> CLI --stats-json smoke (output must parse with support::json)"
 tmp="$(mktemp -d)"
@@ -39,11 +42,13 @@ grep -q '"stop": "budget"' "$tmp/trunc.json"
 ./target/release/farmer mine --in "$tmp/m.txt" --min-sup 3 --threads 2 --stats-json > "$tmp/par.json"
 grep -q '"scheduler"' "$tmp/par.json"
 grep -q '"peak_arena_depth"' "$tmp/par.json"
-# memo-enabled run reports the memo block with live counters
-./target/release/farmer mine --in "$tmp/m.txt" --min-sup 3 --threads 2 \
-  --memo-capacity 4096 --stats-json > "$tmp/memo.json"
-grep -q '"memo"' "$tmp/memo.json"
-grep -q '"hits"' "$tmp/memo.json"
+# unknown flags (here a removed one) fail loudly, naming the flag
+if ./target/release/farmer mine --in "$tmp/m.txt" --memo-capacity 1 \
+  > /dev/null 2> "$tmp/unknown.err"; then
+  echo "farmer mine accepted the unknown flag --memo-capacity" >&2
+  exit 1
+fi
+grep -q -- '--memo-capacity' "$tmp/unknown.err"
 
 echo "==> trace smoke (--trace-out / --metrics-out / stats trace block)"
 ./target/release/farmer mine --in "$tmp/m.txt" --min-sup 3 --threads 2 \

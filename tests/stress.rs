@@ -15,16 +15,14 @@ use farmer_suite::dataset::DatasetBuilder;
 use farmer_support::rng::{Rng, SeedableRng, StdRng};
 use std::collections::HashSet;
 
-/// 8-thread hammer on a deliberately tiny shared memo table: with 16
-/// slots (the implementation floor is 8, so 16 stays) and hundreds of
-/// closed sets, the probe windows overflow constantly — every insert
-/// race, drop-on-collision, and stale-epoch path gets exercised. The
-/// sequential memo-off run is the oracle: the parallel memo-on result
-/// must contain exactly the same groups (none lost to a bogus hit, none
-/// duplicated by a missed dedupe), and the memo counters must stay
-/// self-consistent. Seeded, so failures replay.
+/// 8-thread hammer on small random datasets: with more workers than
+/// depth-1 subtrees on most trials, deques run dry constantly and the
+/// steal and split paths race on every run. The sequential run is the
+/// oracle: the parallel result must contain exactly the same groups
+/// (none lost, none duplicated by a missed dedupe), on both engines.
+/// Seeded, so failures replay.
 #[test]
-fn memo_hammer_vs_sequential_oracle() {
+fn parallel_hammer_vs_sequential_oracle() {
     let mut rng = StdRng::seed_from_u64(0xFA12_6B07);
     for trial in 0..25 {
         let n_rows = rng.gen_range(8..=16);
@@ -58,7 +56,6 @@ fn memo_hammer_vs_sequential_oracle() {
             let got = Farmer::new(params.clone())
                 .with_engine(engine)
                 .with_parallelism(8)
-                .with_memo_capacity(16)
                 .mine(&d);
             let got_canon = canon(&got.groups);
             // no duplicate closed groups survive the merge
@@ -71,18 +68,6 @@ fn memo_hammer_vs_sequential_oracle() {
             );
             // no lost groups, none invented
             assert_eq!(got_canon, want, "trial {trial} {engine:?}");
-            // memo counters self-consistent under the hammering
-            let memo = &got.sched.memo;
-            assert!(memo.capacity >= 16, "trial {trial}: memo was off");
-            assert_eq!(
-                memo.hits + memo.misses,
-                memo.probes,
-                "trial {trial} {engine:?}: counter drift {memo:?}"
-            );
-            assert!(
-                memo.inserts <= memo.misses,
-                "trial {trial} {engine:?}: more inserts than missed probes {memo:?}"
-            );
         }
     }
 }
