@@ -46,8 +46,8 @@ pub fn efficiency_dataset(p: PaperDataset, col_scale: f64) -> Dataset {
     .discretize(&m)
 }
 
-/// Mining parameters used with [`skewed_synth`] by the PR-3 trajectory
-/// benchmark and the allocation-guard test: `(target_class, min_sup)`.
+/// Mining parameters used with [`skewed_synth`] by the scheduler guard
+/// and the parallel determinism matrix: `(target_class, min_sup)`.
 pub const SKEWED_SYNTH_PARAMS: (u32, usize) = (1, 2);
 
 /// A deliberately *skewed* synthetic workload: a handful of "hub" rows

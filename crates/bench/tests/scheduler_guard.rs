@@ -6,9 +6,11 @@
 //! cargo test --release -p farmer-bench --test scheduler_guard -- --ignored
 //! ```
 //!
-//! The committed `BENCH_PR6.json` pins the recorded numbers (checked by
-//! `pr6_scheduler --check` in `scripts/verify.sh`); this test re-derives
-//! the same bounds from a fresh measurement on the current host.
+//! It measures node throughput on `skewed_synth` at t=1 and t=4 on
+//! the current host. On 4+ cores, t=4 must clear 1.5× t=1; on smaller
+//! hosts, where four workers time-slice fewer cores, the 0.25× floor
+//! only catches a livelock. That node counts agree across thread
+//! counts is pinned by `farmer-core`'s `parallel_matrix` test.
 
 use farmer_bench::workloads::{skewed_synth, SKEWED_SYNTH_PARAMS};
 use farmer_core::{Farmer, MiningParams};
@@ -37,8 +39,8 @@ fn four_thread_scaling() {
     let t1 = nodes_per_sec(1);
     let t4 = nodes_per_sec(4);
     let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    // same bounds as pr6_scheduler --check: real scaling demanded only
-    // when there are real cores; otherwise it's a livelock guard
+    // real scaling demanded only when there are real cores; otherwise
+    // it's a livelock guard
     let bound = if cores >= 4 { 1.5 } else { 0.25 };
     let scaling = t4 / t1;
     assert!(

@@ -1450,11 +1450,11 @@ mod tests {
             .recv_timeout(std::time::Duration::from_secs(10))
             .expect("serve never printed its address");
 
-        let h = farmer_serve::http_get(&addr, "/healthz").unwrap();
+        let h = farmer_serve::http_get(&addr, "/v1/healthz").unwrap();
         assert_eq!(h.status, 200, "{}", h.body);
-        let c = farmer_serve::http_get(&addr, &format!("/classify?items={items}")).unwrap();
+        let c = farmer_serve::http_get(&addr, &format!("/v1/classify?items={items}")).unwrap();
         assert_eq!(c.status, 200, "{}", c.body);
-        let m = farmer_serve::http_get(&addr, "/metrics").unwrap();
+        let m = farmer_serve::http_get(&addr, "/v1/metrics").unwrap();
         assert!(
             m.body.contains("farmer_serve_request_ns_count"),
             "{}",

@@ -117,7 +117,7 @@ SERVE OPTIONS (farmer serve <artifact.fgi>):
   --remine-debounce-ms <n>  quiet window before a remine (default 500)
   --min-sup/--min-conf/--min-chi/--class/--no-lower-bounds
                       remine thresholds; match the original mine flags
-  endpoints (all under /v1/; unversioned paths are deprecated aliases):
+  endpoints (all under /v1/; any other path answers 404):
     /v1/classify?items=a,b          GET single sample
     /v1/classify                    POST {\"samples\":[[..],..]} batch
     /v1/query?items=a,b[&class=k][&limit=n]

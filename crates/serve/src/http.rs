@@ -9,9 +9,8 @@
 //!
 //! # The `/v1` API
 //!
-//! Every endpoint lives under `/v1/`; the unversioned paths from
-//! before the API redesign still answer as deprecated aliases (they
-//! return the same bytes plus a `Deprecation: true` header):
+//! Every endpoint lives under `/v1/`; any other path gets the `404`
+//! `not_found` envelope:
 //!
 //! | endpoint                | method | answer |
 //! |-------------------------|--------|--------|
@@ -461,12 +460,9 @@ fn handle_connection(stream: TcpStream, ctx: &ServerCtx, lane: usize, pending: &
     let index = ctx.handle.current();
     let snapshot_ns = t_snapshot.elapsed().as_nanos() as u64;
     let t_compute = Instant::now();
-    let (resp, legacy) = respond(&req, &rid, &index, ctx, lane);
+    let resp = respond(&req, &rid, &index, ctx, lane);
     let compute_ns = t_compute.elapsed().as_nanos() as u64;
-    let mut extra: Vec<(&'static str, String)> = vec![("X-Request-Id", rid.clone())];
-    if legacy {
-        extra.push(("Deprecation", "true".to_string()));
-    }
+    let extra = [("X-Request-Id", rid.clone())];
     // RED counters go first: a client that reads this response (and
     // immediately scrapes or reconnects) must already see them.
     ctx.tracer.add(lane, obs::C_REQUESTS, 1);
@@ -609,30 +605,26 @@ fn percent_decode(s: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
-/// Routes one request. The bool is `true` when the request used a
-/// deprecated unversioned path (the `/v1`-less aliases).
+/// Routes one request on the rest of its path after `/v1`; a path
+/// outside `/v1` matches no endpoint.
 fn respond(
     req: &Request,
     rid: &str,
     index: &ShardedIndex,
     ctx: &ServerCtx,
     lane: usize,
-) -> (Response, bool) {
-    let (path, legacy) = match req.path.strip_prefix("/v1/") {
-        Some(rest) => (format!("/{rest}"), false),
-        None => (req.path.clone(), true),
-    };
+) -> Response {
     if req.oversized {
-        let resp = Response::error(
+        return Response::error(
             413,
             "payload_too_large",
             &format!("request body exceeds {MAX_BODY} bytes"),
             Endpoint::Other,
             rid,
         );
-        return (resp, legacy);
     }
-    let resp = match (req.method.as_str(), path.as_str()) {
+    let path = req.path.strip_prefix("/v1").unwrap_or("");
+    match (req.method.as_str(), path) {
         ("GET", "/healthz") => {
             let body = ObjBuilder::new()
                 .field("status", "ok")
@@ -691,20 +683,28 @@ fn respond(
                     None => None,
                     Some(Ok(c)) if (c as usize) < index.meta().n_classes() => Some(c),
                     Some(_) => {
-                        let resp = Response::error(
+                        return Response::error(
                             400,
                             "bad_request",
                             "class must be a valid class label",
                             Endpoint::Query,
                             rid,
                         );
-                        return (resp, legacy);
                     }
                 };
-                let limit = req
-                    .param("limit")
-                    .and_then(|l| l.parse::<usize>().ok())
-                    .unwrap_or(20);
+                let limit = match req.param("limit").map(str::parse::<usize>) {
+                    None => 20,
+                    Some(Ok(l)) => l,
+                    Some(Err(_)) => {
+                        return Response::error(
+                            400,
+                            "bad_request",
+                            "limit must be a non-negative integer",
+                            Endpoint::Query,
+                            rid,
+                        );
+                    }
+                };
                 let mut matched = index.matches(&sample);
                 if let Some(c) = class_filter {
                     matched.retain(|&gi| index.groups()[gi as usize].class == c);
@@ -732,20 +732,19 @@ fn respond(
         ) => Response::error(
             405,
             "method_not_allowed",
-            &format!("{} does not accept {}", path, req.method),
+            &format!("{} does not accept {}", req.path, req.method),
             Endpoint::Other,
             rid,
         ),
         (_, "/classify") => Response::error(
             405,
             "method_not_allowed",
-            "/classify accepts GET (single sample) and POST (batch)",
+            "/v1/classify accepts GET (single sample) and POST (batch)",
             Endpoint::Other,
             rid,
         ),
         _ => Response::error(404, "not_found", "no such endpoint", Endpoint::Other, rid),
-    };
-    (resp, legacy)
+    }
 }
 
 /// Checks the bearer token shared by the admin endpoints. `Some` is

@@ -23,9 +23,9 @@
 //!   admission (`503` + `Retry-After` past `max_inflight`). Endpoints
 //!   live under `/v1/` (`/v1/classify` GET + batch POST, `/v1/query`,
 //!   `/v1/healthz`, `/v1/metrics`, `/v1/admin/reload`,
-//!   `/v1/admin/stats`); the pre-redesign unversioned paths answer as
-//!   deprecated aliases. Shutdown is graceful: the stop flag halts
-//!   accepting, the backlog drains, and in-flight requests complete.
+//!   `/v1/admin/stats`); any other path is a `404`. Shutdown is
+//!   graceful: the stop flag halts accepting, the backlog drains, and
+//!   in-flight requests complete.
 //! - [`http_get`] / [`http_post`] — the tiny blocking client used by
 //!   the `fgi-client` binary, the end-to-end smoke in
 //!   `scripts/verify.sh`, and the concurrency tests.

@@ -1,7 +1,7 @@
 //! Integration tests of the HTTP server: the `/v1` endpoint surface,
-//! legacy alias parity, batch classification, admission control,
-//! answer stability under concurrent load, and graceful shutdown
-//! draining.
+//! 404s outside `/v1`, batch classification, admission control,
+//! answer stability and access logging under concurrent load, and
+//! graceful shutdown draining.
 
 use farmer_core::{canonical_sort, Farmer, MiningParams};
 use farmer_dataset::DatasetBuilder;
@@ -108,6 +108,15 @@ fn v1_endpoints_answer() {
         (r.status, error_code(&r.body).as_str()),
         (400, "bad_request")
     );
+    for bad in ["abc", "-1"] {
+        let r = http_get(&addr, &format!("/v1/query?items=i0&limit={bad}")).unwrap();
+        assert_eq!(
+            (r.status, error_code(&r.body).as_str()),
+            (400, "bad_request"),
+            "limit={bad}"
+        );
+        assert!(r.body.contains("limit"), "{}", r.body);
+    }
     let r = http_get(&addr, "/v1/nope").unwrap();
     assert_eq!((r.status, error_code(&r.body).as_str()), (404, "not_found"));
 
@@ -120,52 +129,25 @@ fn v1_endpoints_answer() {
 }
 
 #[test]
-fn legacy_paths_alias_v1_with_deprecation_header() {
+fn unversioned_paths_are_not_found() {
     let server = start(test_handle(), &config(2)).unwrap();
     let addr = server.addr().to_string();
 
-    // Byte-identical bodies and statuses on every aliased endpoint.
-    // Pinning the same X-Request-Id on both sides keeps even the
-    // error envelopes (which echo the id) byte-for-byte comparable.
-    let get_pinned = |path: &str, rid: &str| {
-        let mut s = TcpStream::connect(&addr).unwrap();
-        write!(
-            s,
-            "GET {path} HTTP/1.1\r\nX-Request-Id: {rid}\r\nConnection: close\r\n\r\n"
-        )
-        .unwrap();
-        let mut out = String::new();
-        s.read_to_string(&mut out).unwrap();
-        let (head, body) = out.split_once("\r\n\r\n").unwrap();
-        let status: u16 = head.split_whitespace().nth(1).unwrap().parse().unwrap();
-        (status, body.to_string())
-    };
-    for (legacy, v1) in [
-        ("/healthz", "/v1/healthz"),
-        ("/classify?items=i0,i1,i2", "/v1/classify?items=i0,i1,i2"),
-        ("/classify", "/v1/classify"),
-        (
-            "/query?items=i0,i1&limit=2",
-            "/v1/query?items=i0,i1&limit=2",
-        ),
-        ("/no-such", "/v1/no-such"),
+    for path in [
+        "/healthz",
+        "/metrics",
+        "/classify?items=i0,i1,i2",
+        "/query?items=i0,i1&limit=2",
+        "/admin/stats",
     ] {
-        let (old_status, old_body) = get_pinned(legacy, "parity-check");
-        let (new_status, new_body) = get_pinned(v1, "parity-check");
-        assert_eq!(old_status, new_status, "{legacy}");
-        assert_eq!(old_body, new_body, "{legacy}");
+        let r = http_get(&addr, path).unwrap();
+        assert_eq!(
+            (r.status, error_code(&r.body).as_str()),
+            (404, "not_found"),
+            "{path}"
+        );
+        assert_eq!(r.header("Deprecation"), None, "{path}");
     }
-
-    // The alias is marked deprecated on the wire; /v1 is not.
-    let raw = |path: &str| {
-        let mut s = TcpStream::connect(server.addr()).unwrap();
-        write!(s, "GET {path} HTTP/1.1\r\nConnection: close\r\n\r\n").unwrap();
-        let mut out = String::new();
-        s.read_to_string(&mut out).unwrap();
-        out
-    };
-    assert!(raw("/healthz").contains("Deprecation: true"));
-    assert!(!raw("/v1/healthz").contains("Deprecation: true"));
 
     server.shutdown();
 }
@@ -321,7 +303,13 @@ fn admission_control_sheds_beyond_max_inflight() {
 #[test]
 fn concurrent_answers_equal_sequential() {
     let handle = test_handle();
-    let server = start(Arc::clone(&handle), &config(4)).unwrap();
+    let log_path =
+        std::env::temp_dir().join(format!("fgi-server-access-{}.jsonl", std::process::id()));
+    let cfg = ServeConfig {
+        log_out: Some(log_path.to_str().unwrap().to_string()),
+        ..config(4)
+    };
+    let server = start(Arc::clone(&handle), &cfg).unwrap();
     let addr = server.addr().to_string();
 
     let paths: Vec<String> = [
@@ -381,7 +369,19 @@ fn concurrent_answers_equal_sequential() {
         "metrics count {count} < requests issued {total}"
     );
 
+    // Shutdown joins the workers, so every log line is written by now:
+    // exactly one per request sent, the metrics scrape included.
     server.shutdown();
+    let text = std::fs::read_to_string(&log_path).unwrap();
+    std::fs::remove_file(&log_path).unwrap();
+    let lines: Vec<Json> = text
+        .lines()
+        .map(|l| Json::parse(l).unwrap_or_else(|e| panic!("{e}: {l}")))
+        .collect();
+    assert_eq!(lines.len(), total + 1, "access log line count");
+    for line in &lines {
+        assert_eq!(line.get("status").and_then(Json::as_u64), Some(200));
+    }
 }
 
 #[test]

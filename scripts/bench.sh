@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Full offline benchmark pass: every criterion-lite suite plus the PR
-# perf-trajectory report (committed at the repo root as BENCH_PR<k>.json).
+# Full offline benchmark pass: every criterion-lite microbench suite.
+# End-to-end mining, serving and ingest numbers come from perfbench,
+# the command BENCHMARK.json declares (printed at the end).
 #
 #   FARMER_BENCH_SAMPLES=<n>  repetitions per measurement (default 3)
 #   scripts/bench.sh --smoke  1-sample quick pass (CI-friendly)
@@ -16,26 +17,6 @@ for suite in substrates engines_and_pruning farmer_sweeps baseline_comparison; d
   cargo bench --offline -p farmer-bench --bench "$suite"
 done
 
-echo "==> perf trajectory (BENCH_PR3.json)"
-cargo run -q --offline --release -p farmer-bench --bin pr3_trajectory
-cargo run -q --offline --release -p farmer-bench --bin pr3_trajectory -- --check BENCH_PR3.json
-
-echo "==> tracing overhead (BENCH_PR4.json)"
-cargo run -q --offline --release -p farmer-bench --bin pr4_overhead
-cargo run -q --offline --release -p farmer-bench --bin pr4_overhead -- --check BENCH_PR4.json
-
-echo "==> scheduler guard (BENCH_PR6.json)"
-cargo run -q --offline --release -p farmer-bench --bin pr6_scheduler
-cargo run -q --offline --release -p farmer-bench --bin pr6_scheduler -- --check BENCH_PR6.json
-
-echo "==> serving guard (BENCH_PR7.json)"
-cargo run -q --offline --release -p farmer-bench --bin pr7_serving
-cargo run -q --offline --release -p farmer-bench --bin pr7_serving -- --check BENCH_PR7.json
-
-echo "==> observability guard (BENCH_PR9.json)"
-cargo run -q --offline --release -p farmer-bench --bin pr9_observability
-cargo run -q --offline --release -p farmer-bench --bin pr9_observability -- --check BENCH_PR9.json
-
-echo "==> pipeline guard (BENCH_PR10.json)"
-cargo run -q --offline --release -p farmer-bench --bin pr10_pipeline
-cargo run -q --offline --release -p farmer-bench --bin pr10_pipeline -- --check BENCH_PR10.json
+echo "==> end-to-end benchmark: BENCHMARK.json's perfbench command (perfbench/README.md)"
+echo "    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \\"
+echo "        --workload <mine_dense|serve_ingest> --seed <n> --seconds <s> --trace <0|1>"
