@@ -62,11 +62,13 @@ pub mod session;
 pub mod topk;
 pub mod trace;
 
+mod generality;
 mod index;
 mod miner;
 mod params;
 mod rule;
 
+pub use generality::GeneralityIndex;
 pub use index::GroupIndex;
 pub use miner::{Farmer, NodeScratch};
 pub use params::{Engine, ExtraConstraint, MiningParams, PruningConfig};

@@ -43,24 +43,31 @@ use rowset::{IdList, RowSet};
 /// ```
 pub fn mine_lower_bounds(upper: &IdList, support_set: &RowSet, data: &Dataset) -> Vec<IdList> {
     let width = upper.len();
+    if width == 0 {
+        return Vec::new();
+    }
     let item_of: Vec<u32> = upper.iter().collect();
-    let pos_of = |item: u32| item_of.binary_search(&item).ok();
 
     // Blocking sets: for each row outside R(A), the part of A it does
-    // contain (as positions in A). Keep only maximal ones (Lemma 3.11).
-    let mut blockers: Vec<RowSet> = Vec::new();
-    for r in 0..data.n_rows() {
-        if support_set.contains(r) {
-            continue;
-        }
-        let mut b = RowSet::empty(width);
-        for item in data.row(r as u32).iter() {
-            if let Some(p) = pos_of(item) {
-                b.insert(p);
+    // contain (as positions in A). They are gathered from A's item
+    // columns, one word-packed bitset per row, so a call costs |A|
+    // column sweeps instead of a lookup of every item of every outside
+    // row. A row holding no item of A blocks nothing and is skipped; the
+    // rest keep ascending row order. Keep only maximal ones (Lemma 3.11).
+    let words = width.div_ceil(64);
+    let mut packed = vec![0u64; data.n_rows() * words];
+    for (p, &item) in item_of.iter().enumerate() {
+        for r in data.item_rows(item).iter() {
+            if !support_set.contains(r) {
+                packed[r * words + p / 64] |= 1 << (p % 64);
             }
         }
-        blockers.push(b);
     }
+    let mut blockers: Vec<RowSet> = packed
+        .chunks_exact(words)
+        .filter(|b| b.iter().any(|&w| w != 0))
+        .map(|b| RowSet::from_words(width, b.to_vec()).expect("positions lie below the width"))
+        .collect();
     retain_maximal(&mut blockers);
 
     // Γ: current lower bounds, as positional bitsets. Initially the

@@ -1,6 +1,7 @@
 //! The FARMER search: depth-first row enumeration with pruning.
 
 use crate::cond::{BitsetNode, CondNode, Inspect, PointerNode};
+use crate::generality::GeneralityIndex;
 use crate::measures::{self, chi_square, chi_square_upper_bound, convex_upper_bound, Contingency};
 use crate::minelb::mine_lower_bounds;
 use crate::params::{Engine, ExtraConstraint, MiningParams, PruningConfig};
@@ -152,7 +153,11 @@ impl Farmer {
     ///   `z ∪ u_p ∪ u_n` at every ancestor (rows only leave the
     ///   candidate sets by being folded into `z` or ordered before the
     ///   path, and back-ordered rows trigger the strategy-2 prune);
-    /// * a group is emitted only when `z` intersects the frontier.
+    /// * a group is emitted only when `z` intersects the frontier;
+    /// * the search runs on the dataset projected onto the items some
+    ///   frontier row holds ([`Dataset::projected`]), which is exact
+    ///   because a closed upper bound whose support holds a frontier row
+    ///   is a subset of that row.
     ///
     /// Together these make the run return exactly the threshold-passing
     /// closed groups whose support set touches a frontier row — the
@@ -182,7 +187,9 @@ impl Farmer {
     /// a shared work-stealing queue and searches them with the full
     /// machinery, and the interestingness comparison of step 7 — the
     /// only globally ordered step — runs as a definition-equivalent
-    /// post-pass over the merged groups. Results are identical to the
+    /// post-pass over the merged groups; the accepted groups' lower
+    /// bounds (MineLB) are then computed on `threads` threads as well.
+    /// Results are identical to the
     /// sequential run (enforced by tests). A node budget is drawn from
     /// one shared pool, so a budgeted run expands exactly `budget` nodes
     /// in total regardless of thread count (which nodes depends on the
@@ -262,6 +269,30 @@ impl Farmer {
         O: MineObserver + ?Sized,
         T: TraceSink + ?Sized,
     {
+        // A frontier run mines the dataset projected onto the items its
+        // frontier rows hold. That is exact: the run reports only groups
+        // whose support holds a frontier row, and a closed upper bound is
+        // a subset of every row in its support. MineLB is unchanged too,
+        // since its blockers are rows cut down to the upper bound.
+        let projected;
+        let data = match &self.frontier {
+            Some(f) => {
+                assert_eq!(
+                    f.capacity(),
+                    data.n_rows(),
+                    "frontier capacity must match the dataset row count"
+                );
+                let mut keep = RowSet::empty(data.n_items());
+                for r in f.iter() {
+                    for i in data.row(r as RowId).iter() {
+                        keep.insert(i as usize);
+                    }
+                }
+                projected = data.projected(&keep);
+                &projected
+            }
+            None => data,
+        };
         let (tt, reordered, order) = {
             let _transpose = trace::span(tracer, trace::LANE_MAIN, trace::SPAN_TRANSPOSE);
             TransposedTable::for_mining(data, self.params.target_class)
@@ -269,11 +300,6 @@ impl Farmer {
         // the frontier arrives in original row ids; the search runs in
         // ORD space, so map it through the permutation once
         let frontier = self.frontier.as_ref().map(|f| {
-            assert_eq!(
-                f.capacity(),
-                data.n_rows(),
-                "frontier capacity must match the dataset row count"
-            );
             let mut fr = RowSet::empty(data.n_rows());
             for (new, &old) in order.iter().enumerate() {
                 if f.contains(old as usize) {
@@ -366,6 +392,7 @@ impl Farmer {
             lane: trace::LANE_MAIN,
             stats: MineStats::default(),
             irgs: Vec::new(),
+            accepted: GeneralityIndex::new(),
             defer_interesting: self.harvest,
             frontier,
             split: None,
@@ -517,6 +544,7 @@ impl Farmer {
                             lane,
                             stats: MineStats::default(),
                             irgs: Vec::new(),
+                            accepted: GeneralityIndex::new(),
                             defer_interesting: true,
                             frontier,
                             split: Some(SplitCtx {
@@ -719,13 +747,12 @@ impl Farmer {
             obs.worker_finished(worker, s);
         }
 
-        // merge: dedupe by upper bound, combine stats
+        // merge: combine stats, then dedupe by upper bound
         let _merge = trace::span(tracer, trace::LANE_MAIN, trace::SPAN_MERGE);
         let mut stats = MineStats::default();
         let mut sched = SchedStats::default();
-        let mut by_upper: std::collections::HashMap<IdList, Pending> =
-            std::collections::HashMap::new();
-        for (pendings, s, steals, peak) in results {
+        let mut pendings: Vec<Pending> = Vec::new();
+        for (worker_pendings, s, steals, peak) in results {
             stats.nodes_visited += s.nodes_visited;
             stats.pruned_duplicate += s.pruned_duplicate;
             stats.pruned_loose += s.pruned_loose;
@@ -740,33 +767,34 @@ impl Farmer {
             sched.steals += steals;
             sched.worker_nodes.push(s.nodes_visited);
             sched.peak_arena_depth = sched.peak_arena_depth.max(peak);
-            for p in pendings {
-                by_upper.entry(p.upper.clone()).or_insert(p);
-            }
+            pendings.extend(worker_pendings);
         }
-
-        // final interestingness pass: generality order, keep a group iff
-        // no accepted more-general group has confidence >= its own
-        let mut pendings: Vec<Pending> = by_upper.into_values().collect();
-        pendings.sort_by(|a, b| {
+        // generality order; a group found by two workers (only possible
+        // with strategy 2 off) sorts next to itself, and its copies are
+        // identical, so keeping any one is exact
+        pendings.sort_unstable_by(|a, b| {
             a.upper
                 .len()
                 .cmp(&b.upper.len())
                 .then_with(|| a.upper.cmp(&b.upper))
         });
+        pendings.dedup_by(|a, b| a.upper == b.upper);
+
+        // final interestingness pass: keep a group iff no accepted
+        // more-general group has confidence >= its own
         let mut accepted: Vec<Pending> = Vec::new();
+        let mut index = GeneralityIndex::new();
         for p in pendings {
             // harvest mode returns the full threshold-passing set; the
             // caller owns the interestingness comparison
             let dominated = !self.harvest
-                && accepted.iter().any(|a| {
-                    a.upper.len() < p.upper.len() && a.upper.is_subset(&p.upper) && a.conf >= p.conf
-                });
+                && index.has_dominator(&p.upper, p.conf, |id| &accepted[id as usize].upper);
             if dominated {
                 stats.rejected_not_interesting += 1;
                 obs.pruned(PruneReason::NotInteresting);
             } else {
                 obs.group_emitted(p.sup_p, p.sup_n);
+                index.insert(accepted.len() as u32, &p.upper, p.conf);
                 accepted.push(p);
             }
         }
@@ -803,29 +831,19 @@ impl Farmer {
         } else {
             None
         };
+        let lowers = if self.params.lower_bounds {
+            self.lower_bounds(&irgs, reordered, tracer)
+        } else {
+            vec![Vec::new(); irgs.len()]
+        };
         let groups = irgs
             .into_iter()
-            .map(|p| {
+            .zip(lowers)
+            .map(|(p, lower)| {
                 let mut support_set = RowSet::empty(n);
                 for r in p.rows.iter() {
                     support_set.insert(order[r] as usize);
                 }
-                let lower = if self.params.lower_bounds {
-                    if tracer.enabled() {
-                        let t0 = tracer.now_ns();
-                        let lower = mine_lower_bounds(&p.upper, &p.rows, reordered);
-                        tracer.duration_ns(
-                            trace::LANE_MAIN,
-                            trace::HIST_LOWER_BOUND,
-                            tracer.now_ns().saturating_sub(t0),
-                        );
-                        lower
-                    } else {
-                        mine_lower_bounds(&p.upper, &p.rows, reordered)
-                    }
-                } else {
-                    Vec::new()
-                };
                 RuleGroup {
                     upper: p.upper,
                     lower,
@@ -845,6 +863,60 @@ impl Farmer {
             n_rows: n,
             n_class: m,
         }
+    }
+
+    /// MineLB for every group, in `irgs` order. The calls are
+    /// independent, so at `threads > 1` they run on that many scoped
+    /// threads. Thread `w` takes groups `w, w + threads, …` rather than
+    /// one contiguous chunk: the merge hands groups over in generality
+    /// order, shortest upper bounds first, and MineLB's cost grows with
+    /// the upper bound, so contiguous chunks would leave the last thread
+    /// most of the work. The results are put back in `irgs` order.
+    /// Traced runs record each call's latency on the lane of the thread
+    /// that made it.
+    fn lower_bounds<T: TraceSink + ?Sized>(
+        &self,
+        irgs: &[Pending],
+        reordered: &Dataset,
+        tracer: &T,
+    ) -> Vec<Vec<IdList>> {
+        let one = |p: &Pending, lane: usize| {
+            if tracer.enabled() {
+                let t0 = tracer.now_ns();
+                let lower = mine_lower_bounds(&p.upper, &p.rows, reordered);
+                tracer.duration_ns(
+                    lane,
+                    trace::HIST_LOWER_BOUND,
+                    tracer.now_ns().saturating_sub(t0),
+                );
+                lower
+            } else {
+                mine_lower_bounds(&p.upper, &p.rows, reordered)
+            }
+        };
+        let threads = self.threads.min(irgs.len());
+        if threads <= 1 {
+            return irgs.iter().map(|p| one(p, trace::LANE_MAIN)).collect();
+        }
+        let mut parts: Vec<_> = farmer_support::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|w| {
+                    let one = &one;
+                    scope.spawn(move || {
+                        let lane = trace::worker_lane(w);
+                        let mine = irgs.iter().skip(w).step_by(threads);
+                        mine.map(|p| one(p, lane)).collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("lower-bound worker panicked").into_iter())
+                .collect()
+        });
+        (0..irgs.len())
+            .map(|i| parts[i % threads].next().expect("one result per group"))
+            .collect()
     }
 }
 
@@ -893,6 +965,8 @@ struct Ctx<'a, O: MineObserver + ?Sized, T: TraceSink + ?Sized> {
     lane: usize,
     stats: MineStats,
     irgs: Vec<Pending>,
+    /// `irgs` keyed for step 7, ids being positions in `irgs`.
+    accepted: GeneralityIndex,
     /// Parallel mode: skip the step-7 interestingness comparison here
     /// and let the merge phase run it over all threads' groups.
     defer_interesting: bool,
@@ -1338,30 +1412,24 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> Ctx<'_, O, T> {
             }
         }
         let upper = IdList::from_iter(node.items().iter().copied());
-        // a more general group has a strictly larger antecedent support
-        // set (proper item subset ⟹ proper row superset), so integer and
-        // confidence comparisons screen out almost every candidate before
-        // the subset test — this loop dominates runtime when tens of
-        // thousands of IRGs accumulate
-        let total = sup_p + sup_n;
-        for g in &self.irgs {
-            let g_total = g.sup_p + g.sup_n;
-            if g_total == total && g.upper == upper {
-                // duplicate discovery — only reachable with pruning
-                // strategy 2 disabled
-                return;
-            }
-            if !self.defer_interesting
-                && g_total > total
-                && g.conf >= conf
-                && g.upper.len() < upper.len()
-                && g.upper.is_subset(&upper)
-            {
-                self.stats.rejected_not_interesting += 1;
-                self.obs.pruned(PruneReason::NotInteresting);
-                return;
-            }
+        // Both checks probe only the buckets of this upper bound's own
+        // items (see `GeneralityIndex`). A repeat discovery, reachable
+        // only with pruning strategy 2 disabled, is dropped silently and
+        // checked first. That is exact because a duplicate and a
+        // dominator are never both accepted: the first copy passed the
+        // dominance check, and by Lemma 3.4 every more general group was
+        // judged before it.
+        let irgs = &self.irgs;
+        let upper_of = |id: u32| &irgs[id as usize].upper;
+        if self.accepted.contains(&upper, upper_of) {
+            return;
         }
+        if !self.defer_interesting && self.accepted.has_dominator(&upper, conf, upper_of) {
+            self.stats.rejected_not_interesting += 1;
+            self.obs.pruned(PruneReason::NotInteresting);
+            return;
+        }
+        self.accepted.insert(self.irgs.len() as u32, &upper, conf);
         self.obs.group_emitted(sup_p, sup_n);
         self.irgs.push(Pending {
             upper,

@@ -1,6 +1,6 @@
 //! Parallel mining must be exactly equivalent to the sequential run.
 
-use farmer_core::{Engine, Farmer, MiningParams, RuleGroup};
+use farmer_core::{Engine, Farmer, MiningParams, PruningConfig, RuleGroup};
 use farmer_dataset::discretize::Discretizer;
 use farmer_dataset::synth::SynthConfig;
 use farmer_dataset::{paper_example, DatasetBuilder};
@@ -51,6 +51,13 @@ fn parallel_equals_sequential_on_paper_example() {
 
 #[test]
 fn parallel_equals_sequential_on_random_data() {
+    // Without pruning strategy 2 one group is found under several
+    // depth-1 subtrees, often by different workers, and the merge must
+    // keep exactly one copy, as the sequential run does.
+    let no_strategy2 = PruningConfig {
+        strategy2_duplicate: false,
+        ..PruningConfig::default()
+    };
     let mut rng = StdRng::seed_from_u64(21);
     for trial in 0..10 {
         let mut b = DatasetBuilder::new(2);
@@ -63,9 +70,18 @@ fn parallel_equals_sequential_on_random_data() {
             .min_sup(rng.gen_range(1..=2))
             .min_conf([0.0, 0.6][trial % 2])
             .min_chi([0.0, 0.5][trial % 2]);
-        let seq = Farmer::new(params.clone()).mine(&d);
-        let par = Farmer::new(params.clone()).with_parallelism(4).mine(&d);
-        assert_eq!(canon(&par.groups), canon(&seq.groups), "trial={trial}");
+        for pruning in [PruningConfig::default(), no_strategy2] {
+            let seq = Farmer::new(params.clone()).with_pruning(pruning).mine(&d);
+            let par = Farmer::new(params.clone())
+                .with_pruning(pruning)
+                .with_parallelism(4)
+                .mine(&d);
+            assert_eq!(
+                canon(&par.groups),
+                canon(&seq.groups),
+                "trial={trial} pruning={pruning:?}"
+            );
+        }
     }
 }
 

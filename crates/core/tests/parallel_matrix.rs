@@ -83,3 +83,13 @@ fn leukemia_analog_matrix_is_byte_identical() {
     let params = MiningParams::new(1).min_sup(6).lower_bounds(false);
     assert_matrix_pinned(&data, &params, "leukemia_analog");
 }
+
+#[test]
+fn leukemia_analog_matrix_with_lower_bounds() {
+    // lower bounds on: at t > 1 MineLB runs on the worker threads, and
+    // the dump (lower bounds included) must not move
+    let data = efficiency_dataset(PaperDataset::Leukemia, 0.05);
+    let params = MiningParams::new(1).min_sup(6);
+    assert!(params.lower_bounds);
+    assert_matrix_pinned(&data, &params, "leukemia_analog+lower_bounds");
+}

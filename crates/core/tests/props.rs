@@ -7,13 +7,23 @@ use farmer_core::cobbler::{cobbler, SwitchPolicy};
 use farmer_core::minelb::mine_lower_bounds;
 use farmer_core::naive::{enumerate_rule_groups, mine_naive, naive_lower_bounds};
 use farmer_core::topk::mine_top_k;
-use farmer_core::{Engine, Farmer, MiningParams};
+use farmer_core::{
+    canonical_sort, dump_groups, Engine, Farmer, GeneralityIndex, MiningParams, RuleGroup,
+};
 use farmer_dataset::{Dataset, DatasetBuilder};
 use farmer_support::check::prelude::*;
-use rowset::RowSet;
+use rowset::{IdList, RowSet};
+use std::collections::BTreeSet;
+use std::ops::Range;
 
 fn arb_dataset() -> impl Strategy<Value = Dataset> {
-    (3usize..8, 3usize..10).prop_flat_map(|(n_rows, n_items)| {
+    arb_dataset_of(3..8, 3..10)
+}
+
+/// Two-class datasets with a row count from `rows` and an item
+/// universe size from `items`.
+fn arb_dataset_of(rows: Range<usize>, items: Range<usize>) -> impl Strategy<Value = Dataset> {
+    (rows, items).prop_flat_map(|(n_rows, n_items)| {
         collection::vec(
             (
                 collection::btree_set(0..n_items as u32, 1..n_items),
@@ -29,6 +39,26 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
             b.build()
         })
     })
+}
+
+/// One step of a generality-index script, `(kind, base, extra,
+/// conf_pct)`. Kind 0 inserts `extra` alone (possibly the empty upper
+/// bound); kind 1 inserts `extra` on top of an earlier upper bound,
+/// which builds nested chains, and exact duplicates when `extra` adds
+/// nothing; kind 2 only queries such a bound. Confidences come from a
+/// short list, so ties are common.
+type IndexStep = (u32, usize, BTreeSet<u32>, usize);
+
+fn arb_index_script() -> impl Strategy<Value = Vec<IndexStep>> {
+    collection::vec(
+        (
+            0u32..3,
+            0usize..64,
+            collection::btree_set(0u32..12, 0..4),
+            select(vec![0usize, 25, 50, 50, 75, 100]),
+        ),
+        1..60,
+    )
 }
 
 fn canon(groups: &[farmer_core::RuleGroup]) -> Vec<(Vec<u32>, Vec<usize>, usize, usize)> {
@@ -116,25 +146,120 @@ check! {
         }
     }
 
-    /// MineLB equals the brute-force minimal generators for every rule
-    /// group of the dataset.
+    /// MineLB on random data: every bound `l` has `R(l) = R(A)` and
+    /// loses that support set when any one item is dropped, and for
+    /// upper bounds of at most 10 items the bounds are exactly the
+    /// brute-force minimal generators. The datasets reach 15 items, so
+    /// some upper bounds are too wide for the brute force.
     #[test]
-    fn minelb_equals_oracle(d in arb_dataset()) {
+    fn minelb_equals_oracle(d in arb_dataset_of(3..11, 3..16)) {
         for g in enumerate_rule_groups(&d, 0) {
-            if g.upper.len() > 10 {
-                continue; // keep the naive side cheap
+            let lows = mine_lower_bounds(&g.upper, &g.rows, &d);
+            prop_assert!(!lows.is_empty(), "group {:?} has no lower bound", g.upper);
+            for l in &lows {
+                prop_assert!(l.is_subset(&g.upper));
+                prop_assert_eq!(&d.rows_supporting(l), &g.rows, "R({:?}) != R(A)", l);
+                for drop in l.iter() {
+                    let smaller = IdList::from_iter(l.iter().filter(|&i| i != drop));
+                    if smaller.is_empty() {
+                        continue; // the empty antecedent is no bound
+                    }
+                    prop_assert_ne!(&d.rows_supporting(&smaller), &g.rows, "{:?} not minimal", l);
+                }
             }
-            let mut got: Vec<Vec<u32>> = mine_lower_bounds(&g.upper, &g.rows, &d)
+            if g.upper.len() <= 10 {
+                let mut got: Vec<IdList> = lows;
+                got.sort();
+                let mut want = naive_lower_bounds(&g.upper, &g.rows, &d);
+                want.sort();
+                prop_assert_eq!(got, want, "group {:?}", g.upper);
+            }
+        }
+    }
+
+    /// The generality index answers exactly what step 7's linear scan
+    /// answered, over random insert/query scripts with duplicate upper
+    /// bounds, nested chains, confidence ties and the empty upper bound.
+    #[test]
+    fn generality_index_equals_linear_scan(script in arb_index_script()) {
+        let mut index = GeneralityIndex::new();
+        let mut inserted: Vec<(IdList, f64)> = Vec::new();
+        let mut seen = vec![IdList::new()];
+        for (kind, base, extra, conf_pct) in script {
+            let extra = IdList::from_iter(extra);
+            let upper = match kind {
+                0 => extra,
+                _ => seen[base % seen.len()].union(&extra),
+            };
+            let conf = conf_pct as f64 / 100.0;
+            let upper_of = |id: u32| &inserted[id as usize].0;
+            let dominated = inserted
+                .iter()
+                .any(|(a, a_conf)| a.len() < upper.len() && a.is_subset(&upper) && *a_conf >= conf);
+            prop_assert_eq!(
+                index.has_dominator(&upper, conf, upper_of),
+                dominated,
+                "dominator of {:?} at {}",
+                upper,
+                conf
+            );
+            let equal = inserted.iter().any(|(a, _)| *a == upper);
+            prop_assert_eq!(index.contains(&upper, upper_of), equal, "equal to {:?}", upper);
+            if kind < 2 {
+                index.insert(inserted.len() as u32, &upper, conf);
+                inserted.push((upper.clone(), conf));
+            }
+            seen.push(upper);
+        }
+    }
+
+    /// A frontier run (`Farmer::with_frontier`) returns exactly the cold
+    /// harvest's groups whose support meets the frontier, lower bounds
+    /// included, and visits no more nodes than the cold harvest.
+    /// `from_class` 0 or 1 draws the `k` frontier rows from that class,
+    /// 2 from all rows.
+    #[test]
+    fn frontier_run_equals_filtered_cold_harvest(
+        d in arb_dataset(),
+        class in 0u32..2,
+        min_sup in 1usize..3,
+        lower_bounds in select(vec![false, true]),
+        (k, from_class, offset) in (1usize..4, 0u32..3, 0usize..8),
+    ) {
+        let n = d.n_rows();
+        let pool: Vec<usize> = (0..n)
+            .filter(|&r| from_class == 2 || d.label(r as u32) == from_class)
+            .collect();
+        if pool.is_empty() {
+            return Ok(());
+        }
+        let frontier = RowSet::from_ids(
+            n,
+            (0..k.min(pool.len())).map(|i| pool[(offset + i) % pool.len()]),
+        );
+        let params = MiningParams::new(class)
+            .min_sup(min_sup)
+            .lower_bounds(lower_bounds);
+        for engine in [Engine::Bitset, Engine::PointerList] {
+            let harvest = || Farmer::new(params.clone()).with_harvest(true).with_engine(engine);
+            let cold = harvest().mine(&d);
+            let run = harvest().with_frontier(frontier.clone()).mine(&d);
+            let mut want: Vec<RuleGroup> = cold
+                .groups
                 .into_iter()
-                .map(|l| l.as_slice().to_vec())
+                .filter(|g| !g.support_set.is_disjoint(&frontier))
                 .collect();
-            got.sort();
-            let mut want: Vec<Vec<u32>> = naive_lower_bounds(&g.upper, &g.rows, &d)
-                .into_iter()
-                .map(|l| l.as_slice().to_vec())
-                .collect();
-            want.sort();
-            prop_assert_eq!(got, want, "group {:?}", g.upper);
+            let mut got = run.groups;
+            canonical_sort(&mut want);
+            canonical_sort(&mut got);
+            prop_assert_eq!(dump_groups(&got), dump_groups(&want), "engine {:?}", engine);
+            prop_assert!(
+                run.stats.nodes_visited <= cold.stats.nodes_visited,
+                "engine {:?}: frontier run visited {} nodes, cold harvest {}",
+                engine,
+                run.stats.nodes_visited,
+                cold.stats.nodes_visited
+            );
         }
     }
 

@@ -256,6 +256,38 @@ impl Dataset {
         })
     }
 
+    /// Returns a copy keeping only the items in `keep`, a set of item
+    /// ids: each row loses the items outside it, and their columns
+    /// become empty. Row ids, labels, item ids and names are unchanged,
+    /// so anything mined on the copy reads the same on `self`.
+    pub fn projected(&self, keep: &RowSet) -> Dataset {
+        let rows = self
+            .rows
+            .iter()
+            .map(|r| IdList::from_sorted(r.iter().filter(|&i| keep.contains(i as usize)).collect()))
+            .collect();
+        let item_rows = self
+            .item_rows
+            .iter()
+            .enumerate()
+            .map(|(i, col)| {
+                if keep.contains(i) {
+                    col.clone()
+                } else {
+                    RowSet::empty(self.n_rows())
+                }
+            })
+            .collect();
+        Dataset {
+            rows,
+            labels: self.labels.clone(),
+            n_classes: self.n_classes,
+            item_rows,
+            item_names: self.item_names.clone(),
+            class_names: self.class_names.clone(),
+        }
+    }
+
     /// Total number of (row, item) incidences; a size measure used in
     /// reporting.
     pub fn n_incidences(&self) -> usize {

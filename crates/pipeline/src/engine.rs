@@ -23,13 +23,16 @@
 //! Every closed group that is new or changed has a delta row in its
 //! support, which is exactly the set the frontier-restricted search
 //! emits (`Farmer::with_frontier` prunes subtrees that cannot reach a
-//! frontier row and reports only groups a frontier row supports). The
-//! two halves partition the closed set, so replacing the touched
-//! entries with the restricted harvest restores the invariant.
+//! frontier row and reports only groups a frontier row supports, and it
+//! searches only the items some frontier row holds). The two halves
+//! partition the closed set, so replacing the touched entries with the
+//! restricted harvest restores the invariant.
 
 use farmer_core::measures::{self, chi_square, Contingency};
 use farmer_core::minelb::mine_lower_bounds;
-use farmer_core::{canonical_sort, Engine, ExtraConstraint, Farmer, MiningParams, RuleGroup};
+use farmer_core::{
+    canonical_sort, Engine, ExtraConstraint, Farmer, GeneralityIndex, MiningParams, RuleGroup,
+};
 use farmer_dataset::{ClassLabel, Dataset};
 use rowset::{IdList, RowSet};
 
@@ -53,6 +56,20 @@ struct CachedGroup {
     sup: usize,
     neg_sup: usize,
     lower: Option<Vec<IdList>>,
+}
+
+/// Puts a cache in generality order, `(upper.len(), upper)`: the
+/// order the miner's merge judges groups in, which `assemble` relies
+/// on. After a delta the retained entries are still in order and only
+/// the refreshed ones are new, so the (run-adaptive) stable sort costs
+/// little more than merging them in.
+fn sort_by_generality(cache: &mut [CachedGroup]) {
+    cache.sort_by(|a, b| {
+        a.upper
+            .len()
+            .cmp(&b.upper.len())
+            .then_with(|| a.upper.cmp(&b.upper))
+    });
 }
 
 fn cache_entry(g: RuleGroup) -> CachedGroup {
@@ -119,7 +136,7 @@ impl IncrementalMiner {
         let caches = classes
             .iter()
             .map(|&class| {
-                Farmer::new(harvest_params(&template, class))
+                let mut cache: Vec<CachedGroup> = Farmer::new(harvest_params(&template, class))
                     .with_harvest(true)
                     .with_engine(engine)
                     .with_parallelism(threads)
@@ -127,7 +144,9 @@ impl IncrementalMiner {
                     .groups
                     .into_iter()
                     .map(cache_entry)
-                    .collect()
+                    .collect();
+                sort_by_generality(&mut cache);
+                cache
             })
             .collect();
         IncrementalMiner {
@@ -164,22 +183,35 @@ impl IncrementalMiner {
         let base = self.data.n_rows();
         let n_total = merged.n_rows();
         let frontier = RowSet::from_ids(n_total, base..n_total);
+        // `covered(x)`: some delta row holds every item of `x`. The rows
+        // go in as item bitsets, so a test costs a few lookups into `x`
+        // instead of a merge against a whole row.
+        let delta_rows: Vec<RowSet> = delta
+            .iter()
+            .map(|(items, _)| {
+                RowSet::from_ids(self.data.n_items(), items.iter().map(|i| i as usize))
+            })
+            .collect();
+        let covered = |x: &IdList| {
+            delta_rows
+                .iter()
+                .any(|row| x.iter().all(|i| row.contains(i as usize)))
+        };
         for (ci, &class) in self.classes.iter().enumerate() {
             let cache = &mut self.caches[ci];
             // An entry is touched iff some delta row supports its
             // closure — only then can its support set (and closure)
             // differ on the merged dataset.
-            cache.retain(|g| !delta.iter().any(|(items, _)| g.upper.is_subset(items)));
+            cache.retain(|g| !covered(&g.upper));
             for g in cache.iter_mut() {
                 g.rows.grow(n_total);
                 // A surviving entry keeps its memoized lower bounds
                 // unless a delta row swallows one of its minimal
                 // generators (see the `CachedGroup::lower` notes).
-                let stale = g.lower.as_ref().is_some_and(|lows| {
-                    delta
-                        .iter()
-                        .any(|(items, _)| lows.iter().any(|x| x.is_subset(items)))
-                });
+                let stale = g
+                    .lower
+                    .as_ref()
+                    .is_some_and(|lows| lows.iter().any(covered));
                 if stale {
                     g.lower = None;
                 }
@@ -191,6 +223,7 @@ impl IncrementalMiner {
                 .with_parallelism(self.threads)
                 .mine(&merged);
             cache.extend(refreshed.groups.into_iter().map(cache_entry));
+            sort_by_generality(cache);
         }
         self.data = merged;
         Ok(())
@@ -224,9 +257,10 @@ impl IncrementalMiner {
 /// The miner's emission pipeline, replayed over the cache: thresholds
 /// in the same order and with the same arithmetic (so `f64`
 /// comparisons agree bit-for-bit), the same `(len, upper)` generality
-/// sort, the same domination predicate, and `mine_lower_bounds` for
-/// accepted groups only — memoized per entry, since the lower bounds
-/// of an untouched, unblocked group cannot move under appends.
+/// order (the cache is kept in it), the same domination predicate
+/// (through the miner's [`GeneralityIndex`]), and `mine_lower_bounds`
+/// for accepted groups only — memoized per entry, since the lower
+/// bounds of an untouched, unblocked group cannot move under appends.
 fn assemble(
     cache: &mut [CachedGroup],
     params: &MiningParams,
@@ -267,27 +301,18 @@ fn assemble(
         }
         cands.push((i, conf));
     }
-    cands.sort_by(|&(a, _), &(b, _)| {
-        let (ga, gb) = (&cache[a], &cache[b]);
-        ga.upper
-            .len()
-            .cmp(&gb.upper.len())
-            .then_with(|| ga.upper.cmp(&gb.upper))
-    });
-    let mut accepted: Vec<(usize, f64)> = Vec::new();
+    let mut accepted: Vec<usize> = Vec::new();
+    let mut index = GeneralityIndex::new();
     for (i, conf) in cands {
-        let c = &cache[i];
-        let dominated = accepted.iter().any(|&(ai, aconf)| {
-            let a = &cache[ai];
-            a.upper.len() < c.upper.len() && a.upper.is_subset(&c.upper) && aconf >= conf
-        });
-        if !dominated {
-            accepted.push((i, conf));
+        let upper = &cache[i].upper;
+        if !index.has_dominator(upper, conf, |id| &cache[id as usize].upper) {
+            index.insert(i as u32, upper, conf);
+            accepted.push(i);
         }
     }
     accepted
         .into_iter()
-        .map(|(i, _)| {
+        .map(|i| {
             let g = &mut cache[i];
             // MineLB's blockers depend only on the *set* of row∩upper
             // projections, so running it in original row-id space

@@ -70,6 +70,13 @@ echo "==> store & serve smoke (mine --save-irgs -> serve -> client -> clean exit
 ./target/release/farmer mine --in "$tmp/m.txt" --min-sup 3 \
   --save-irgs "$tmp/m.fgi" > "$tmp/mine_save.txt"
 grep -q 'rule groups to' "$tmp/mine_save.txt"
+# at --threads 2 MineLB runs on the worker threads (lower bounds are on
+# by default); the artifact must not change by a byte
+for t in 1 2; do
+  ./target/release/farmer mine --in "$tmp/m.txt" --min-sup 3 --threads "$t" \
+    --save-irgs "$tmp/m_t$t.fgi" > /dev/null
+done
+cmp "$tmp/m_t1.fgi" "$tmp/m_t2.fgi"
 # offline query against the saved artifact answers without a server
 ./target/release/farmer query "$tmp/m.fgi" --items 0,1 --limit 3 > "$tmp/query.txt"
 grep -q 'classified as' "$tmp/query.txt"
