@@ -1,40 +1,12 @@
-//! Ablation benches: the two conditional-table engines and each pruning
-//! strategy toggled off (DESIGN.md A1/A2).
+//! Ablation benches: the search with each pruning strategy toggled off
+//! (DESIGN.md A1), and MineLB's share of a mine.
 
 use farmer_bench::workloads::WorkloadCache;
-use farmer_core::{Engine, Farmer, MiningParams, PruningConfig};
+use farmer_core::{Farmer, MiningParams, PruningConfig};
 use farmer_dataset::synth::PaperDataset;
 use farmer_support::bench::Criterion;
 use farmer_support::{criterion_group, criterion_main};
 use std::time::Duration;
-
-fn engines(c: &mut Criterion) {
-    let cache = WorkloadCache::new(0.05);
-    let d = cache.efficiency(PaperDataset::ColonTumor);
-    let params = MiningParams::new(1)
-        .min_sup(4)
-        .min_conf(0.8)
-        .lower_bounds(false);
-    let mut group = c.benchmark_group("engines_CT");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(3));
-    group.bench_function("bitset", |b| {
-        b.iter(|| {
-            Farmer::new(params.clone())
-                .with_engine(Engine::Bitset)
-                .mine(&d)
-        })
-    });
-    group.bench_function("pointer_list", |b| {
-        b.iter(|| {
-            Farmer::new(params.clone())
-                .with_engine(Engine::PointerList)
-                .mine(&d)
-        })
-    });
-    group.finish();
-}
 
 fn pruning_ablation(c: &mut Criterion) {
     let cache = WorkloadCache::new(0.05);
@@ -94,5 +66,5 @@ fn lower_bounds(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, engines, pruning_ablation, lower_bounds);
+criterion_group!(benches, pruning_ablation, lower_bounds);
 criterion_main!(benches);

@@ -1,6 +1,7 @@
-//! Ablations A1/A2 of DESIGN.md: the contribution of each pruning
-//! strategy and of the `ORD` row ordering, plus the two conditional-table
-//! engines.
+//! Ablation A1 of DESIGN.md: the contribution of each pruning strategy.
+//! (A2, the paper's §3.3 pointer lists against item-column bitsets, was
+//! measured before the pointer-list engine was deleted; EXPERIMENTS.md
+//! keeps its numbers.)
 //!
 //! All configurations return identical IRGs (asserted); only the work
 //! differs.
@@ -10,7 +11,7 @@ use farmer_bench::report::Table;
 use farmer_bench::trajectory::TrajectoryObserver;
 use farmer_bench::workloads::WorkloadCache;
 use farmer_bench::{fmt_ms, time};
-use farmer_core::{Engine, Farmer, MineControl, MiningParams, PruningConfig};
+use farmer_core::{Farmer, MineControl, MiningParams, PruningConfig};
 use farmer_dataset::synth::PaperDataset;
 
 pub fn run(opts: &Opts, cache: &WorkloadCache) {
@@ -73,23 +74,6 @@ pub fn run(opts: &Opts, cache: &WorkloadCache) {
             None => reference = Some(res.len()),
             Some(n) => assert_eq!(n, res.len(), "pruning changed the result set!"),
         }
-        t.row_owned(vec![
-            name.to_string(),
-            fmt_ms(dt),
-            res.stats.nodes_visited.to_string(),
-            res.len().to_string(),
-        ]);
-    }
-    println!("{}", t.render());
-
-    println!("== Ablation: conditional-table engines (same search, different layout) ==\n");
-    let mut t = Table::new(&["engine", "runtime", "nodes", "#IRGs"]);
-    for (name, engine) in [
-        ("bitset", Engine::Bitset),
-        ("pointer-list (paper §3.3)", Engine::PointerList),
-    ] {
-        let (res, dt) = time(|| Farmer::new(params.clone()).with_engine(engine).mine(&d));
-        assert_eq!(Some(res.len()), reference, "engines disagree!");
         t.row_owned(vec![
             name.to_string(),
             fmt_ms(dt),

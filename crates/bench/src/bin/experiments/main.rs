@@ -11,7 +11,7 @@
 //!              (Figure 11 a–f)
 //!   table2     classification accuracy: IRG vs CBA vs SVM (Table 2)
 //!   scale      row-replication scalability (§4.1 note)
-//!   ablation   pruning-strategy and engine ablations (DESIGN.md A1/A2)
+//!   ablation   pruning-strategy ablation (DESIGN.md A1)
 //!   cobbler    COBBLER row/column switching extension (DESIGN.md A3)
 //!   all        everything above, in order
 //! ```

@@ -351,7 +351,7 @@ fn mine(a: MineArgs, out: &mut dyn Write) -> Result<()> {
     }
     if let Some(path) = &a.save_irgs {
         // canonical order makes the artifact bytes independent of
-        // engine choice and worker scheduling
+        // worker scheduling
         let mut groups = result.groups;
         farmer_core::canonical_sort(&mut groups);
         let meta = ArtifactMeta::from_dataset(&data);

@@ -10,7 +10,7 @@
 //! the column-enumeration closed-set miners (CHARM, CLOSET+) in the
 //! baselines crate.
 
-use crate::cond::{BitsetNode, CondNode};
+use crate::cond::BitsetNode;
 use farmer_dataset::{Dataset, RowId};
 use rowset::{IdList, RowSet};
 

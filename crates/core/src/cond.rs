@@ -1,20 +1,79 @@
-//! Bitset-backed conditional transposed tables.
+//! Conditional transposed tables `TT|X` — the per-node state of the row
+//! enumeration.
+//!
+//! A node of the enumeration tree is a row combination `X`; its
+//! conditional transposed table holds the tuples (items) common to every
+//! row of `X`, i.e. exactly `I(X)` (Definition 3.1). The search needs
+//! three things from the table at each node, bundled in [`Inspect`]:
+//!
+//! * `z = R(I(X))` — every row occurring in all tuples (this gives the
+//!   exact support counts and feeds pruning strategy 2);
+//! * `u_p`/`u_n` — the enumeration candidates occurring in at least one
+//!   tuple (candidates outside `u` lead to `I = ∅` nodes and are the
+//!   "implicit pruning" of step 6);
+//! * `max_ep_tuple` — the largest number of positive candidates found
+//!   together in a single tuple, which yields the tight support bound
+//!   `Us1` of pruning strategy 3.
+//!
+//! [`BitsetNode`] holds `TT|X` as the dataset's item-column row bitsets
+//! and scans them word-parallel. The paper's §3.3 builds the same table
+//! from conditional pointer lists; DESIGN.md §3 records why this
+//! repository uses bitsets instead.
 
-use super::{CondNode, Inspect};
 use farmer_dataset::{Dataset, ItemId, RowId};
 use rowset::RowSet;
 
-/// Conditional table whose tuples are the per-item row bitsets of the
-/// dataset.
+/// What a node scan reports about `TT|X`.
+///
+/// An `Inspect` doubles as a reusable buffer: the miner's scratch arena
+/// keeps one per recursion depth and refills it through
+/// [`BitsetNode::inspect_into`], so steady-state enumeration never
+/// allocates for scan results. Construct fresh ones with
+/// [`Inspect::new`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Inspect {
+    /// Rows occurring in **every** tuple: `R(I(X))`. When the table has
+    /// no tuples (only possible at the root of an itemless dataset) this
+    /// is the full row set by the empty-intersection convention.
+    pub z: RowSet,
+    /// Positive candidates occurring in at least one tuple.
+    pub u_p: RowSet,
+    /// Negative candidates occurring in at least one tuple.
+    pub u_n: RowSet,
+    /// `MAX(|EP ∩ t|)` over tuples `t` — the tight support headroom.
+    pub max_ep_tuple: usize,
+}
+
+impl Inspect {
+    /// An empty scan buffer over `n_rows` rows, ready for
+    /// [`BitsetNode::inspect_into`].
+    pub fn new(n_rows: usize) -> Self {
+        Inspect {
+            z: RowSet::empty(n_rows),
+            u_p: RowSet::empty(n_rows),
+            u_n: RowSet::empty(n_rows),
+            max_ep_tuple: 0,
+        }
+    }
+}
+
+/// A node's conditional table, whose tuples are the per-item row bitsets
+/// of the dataset.
 ///
 /// The node only stores *which* items survive (`I(X)`); tuple contents
 /// are **borrowed** from the dataset's own column store
 /// ([`Dataset::item_row_sets`]), so building a root copies nothing and a
-/// single root can be shared by reference across worker threads. `child`
+/// single root can be shared by reference across worker threads. A child
 /// costs one pass over the current item list and no row copying. All
 /// scans are word-parallel over rows via the fused
 /// [`RowSet::fused_scan`] kernel, which is the sweet spot for the
 /// microarray shape (hundreds of rows, tens of thousands of items).
+///
+/// The `*_into` methods are the hot-path interface: they write into
+/// caller-owned buffers (recycled by the miner's scratch arena) so
+/// descending the tree performs no heap allocation. The allocating
+/// [`inspect`](Self::inspect)/[`child`](Self::child) wrappers remain for
+/// tests and one-shot callers.
 pub struct BitsetNode<'a> {
     tuples: &'a [RowSet],
     items: Vec<ItemId>,
@@ -32,18 +91,16 @@ impl<'a> BitsetNode<'a> {
             n_rows: data.n_rows(),
         }
     }
-}
 
-impl CondNode for BitsetNode<'_> {
-    fn items(&self) -> &[ItemId] {
+    /// `I(X)`: the items whose tuples survived into this table. At the
+    /// root this is the full item universe (the root never emits a rule).
+    pub fn items(&self) -> &[ItemId] {
         &self.items
     }
 
-    fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
-    fn clone_shell(&self) -> Self {
+    /// A node sharing this node's backing table but holding no items —
+    /// a buffer for [`child_into`](Self::child_into).
+    pub fn clone_shell(&self) -> Self {
         BitsetNode {
             tuples: self.tuples,
             items: Vec::new(),
@@ -51,7 +108,9 @@ impl CondNode for BitsetNode<'_> {
         }
     }
 
-    fn inspect_into(&self, e_p: &RowSet, e_n: &RowSet, out: &mut Inspect) {
+    /// Scans the table, classifying the candidate rows into `out`.
+    /// Every field of `out` is overwritten; its buffers are reused.
+    pub fn inspect_into(&self, e_p: &RowSet, e_n: &RowSet, out: &mut Inspect) {
         // u_n doubles as the `occur` accumulator during the sweep; the
         // final u_p/u_n split happens once at the end.
         out.z.make_full();
@@ -67,7 +126,15 @@ impl CondNode for BitsetNode<'_> {
         out.max_ep_tuple = max_ep;
     }
 
-    fn child_into(&self, r: RowId, out: &mut Self) {
+    /// Writes the table for `X ∪ {r}` into `out` (Lemma 3.3): keeps
+    /// exactly the tuples containing `r`. `out` must share this node's
+    /// backing table (i.e. originate from
+    /// [`clone_shell`](Self::clone_shell) or a previous `child_into` in
+    /// the same run).
+    ///
+    /// `r` must occur in at least one tuple (i.e. be in `u_p ∪ u_n` of
+    /// the latest inspect).
+    pub fn child_into(&self, r: RowId, out: &mut Self) {
         out.items.clear();
         out.items.extend(
             self.items
@@ -79,6 +146,22 @@ impl CondNode for BitsetNode<'_> {
             !out.items.is_empty(),
             "child({r}) has no tuples; r was not a candidate"
         );
+    }
+
+    /// Allocating convenience wrapper over
+    /// [`inspect_into`](Self::inspect_into).
+    pub fn inspect(&self, e_p: &RowSet, e_n: &RowSet) -> Inspect {
+        let mut out = Inspect::new(self.n_rows);
+        self.inspect_into(e_p, e_n, &mut out);
+        out
+    }
+
+    /// Allocating convenience wrapper over
+    /// [`child_into`](Self::child_into).
+    pub fn child(&self, r: RowId) -> Self {
+        let mut out = self.clone_shell();
+        self.child_into(r, &mut out);
+        out
     }
 }
 
@@ -146,10 +229,7 @@ mod tests {
         // refill a buffer left dirty by a different node's scan
         let mut buf = root.child(1).inspect(&e_p, &e_n);
         root.inspect_into(&e_p, &e_n, &mut buf);
-        assert_eq!(buf.z, fresh.z);
-        assert_eq!(buf.u_p, fresh.u_p);
-        assert_eq!(buf.u_n, fresh.u_n);
-        assert_eq!(buf.max_ep_tuple, fresh.max_ep_tuple);
+        assert_eq!(buf, fresh);
     }
 
     #[test]

@@ -40,14 +40,22 @@
 //! # Crate layout
 //!
 //! * [`Farmer`] — the row-enumeration search;
-//! * [`cond`] — the two conditional-transposed-table engines: a bitset
-//!   engine and the paper's §3.3 conditional pointer lists;
+//! * [`cond`] — the conditional transposed table `TT|X`, held as
+//!   item-column row bitsets;
 //! * [`measures`] — support/confidence/χ² and the convex χ² upper bound
 //!   (Lemma 3.9), plus lift/conviction/entropy-gain/gini extensions;
 //! * [`minelb`] — the incremental lower-bound algorithm MineLB (§3.4);
 //! * [`naive`] — a brute-force oracle used to verify the miner exactly;
+//! * [`topk`] — top-k covering rule groups per row (the authors'
+//!   follow-up RCBT problem), on the same search;
 //! * [`carpenter`] — the predecessor CARPENTER algorithm (closed-pattern
-//!   mining by row enumeration, KDD'03), sharing the same substrate.
+//!   mining by row enumeration, KDD'03), sharing the same substrate;
+//! * [`cobbler`] — COBBLER, which switches between row and column
+//!   enumeration;
+//! * [`session`] — budgets, deadlines, cancellation and observers;
+//! * [`trace`] — phase spans, counters and latency histograms;
+//! * [`GeneralityIndex`] — the accepted-group index behind step 7's
+//!   interestingness check.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -63,13 +71,11 @@ pub mod topk;
 pub mod trace;
 
 mod generality;
-mod index;
 mod miner;
 mod params;
 mod rule;
 
 pub use generality::GeneralityIndex;
-pub use index::GroupIndex;
 pub use miner::{Farmer, NodeScratch};
 pub use params::{Engine, ExtraConstraint, MiningParams, PruningConfig};
 pub use rule::{canonical_sort, dump_groups, MineResult, MineStats, RuleGroup, SchedStats};

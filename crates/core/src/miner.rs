@@ -1,17 +1,17 @@
 //! The FARMER search: depth-first row enumeration with pruning.
 
-use crate::cond::{BitsetNode, CondNode, Inspect, PointerNode};
+use crate::cond::{BitsetNode, Inspect};
 use crate::generality::GeneralityIndex;
 use crate::measures::{self, chi_square, chi_square_upper_bound, convex_upper_bound, Contingency};
 use crate::minelb::mine_lower_bounds;
-use crate::params::{Engine, ExtraConstraint, MiningParams, PruningConfig};
+use crate::params::{ExtraConstraint, MiningParams, PruningConfig};
 use crate::rule::{MineResult, MineStats, RuleGroup, SchedStats};
 use crate::session::{
     ControlState, Heartbeat, MineControl, MineObserver, Miner, NoOpObserver, PruneReason,
     SharedBudget,
 };
 use crate::trace::{self, NoopTracer, TraceSink};
-use farmer_dataset::{Dataset, RowId, TransposedTable};
+use farmer_dataset::{Dataset, RowId};
 use farmer_support::thread::WorkDeque;
 use rowset::{IdList, RowSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -19,9 +19,10 @@ use std::time::Instant;
 
 /// One recursion frame's worth of buffers: everything a node of the
 /// enumeration needs beyond its inputs. Pooled by [`NodeScratch`].
-pub(crate) struct Frame<N> {
-    /// Buffer the node's children are built into ([`CondNode::child_into`]).
-    pub(crate) child: N,
+pub(crate) struct Frame<'a> {
+    /// Buffer the node's children are built into
+    /// ([`BitsetNode::child_into`]).
+    pub(crate) child: BitsetNode<'a>,
     /// Buffer for the node's scan results.
     pub(crate) ins: Inspect,
     /// Positive candidates passed to children (post-compression).
@@ -47,14 +48,14 @@ pub(crate) struct Frame<N> {
 /// the allocation-guard test in `crates/core/tests` enforces this).
 /// `release` pushes the frame back on unwind, buffers intact, for the
 /// next sibling at that depth to reuse.
-pub struct NodeScratch<N> {
-    pool: Vec<Frame<N>>,
+pub struct NodeScratch<'a> {
+    pool: Vec<Frame<'a>>,
     n_rows: usize,
     in_flight: usize,
     peak: usize,
 }
 
-impl<N: CondNode> NodeScratch<N> {
+impl<'a> NodeScratch<'a> {
     /// An empty arena for a dataset of `n_rows` rows.
     pub fn new(n_rows: usize) -> Self {
         NodeScratch {
@@ -73,7 +74,7 @@ impl<N: CondNode> NodeScratch<N> {
 
     /// Pops a frame, building a fresh one from `proto`'s shell if the
     /// pool is dry (i.e. this is the deepest the search has been).
-    pub(crate) fn acquire(&mut self, proto: &N) -> Frame<N> {
+    pub(crate) fn acquire(&mut self, proto: &BitsetNode<'a>) -> Frame<'a> {
         self.in_flight += 1;
         self.peak = self.peak.max(self.in_flight);
         let n = self.n_rows;
@@ -89,15 +90,14 @@ impl<N: CondNode> NodeScratch<N> {
     }
 
     /// Returns a frame to the pool for reuse by a sibling node.
-    pub(crate) fn release(&mut self, frame: Frame<N>) {
+    pub(crate) fn release(&mut self, frame: Frame<'a>) {
         self.in_flight -= 1;
         self.pool.push(frame);
     }
 }
 
 /// The FARMER miner. Configure with [`MiningParams`] (thresholds) and
-/// optionally [`PruningConfig`] / [`Engine`], then call
-/// [`mine`](Farmer::mine).
+/// optionally [`PruningConfig`], then call [`mine`](Farmer::mine).
 ///
 /// ```
 /// use farmer_core::{Farmer, MiningParams};
@@ -108,20 +108,17 @@ impl<N: CondNode> NodeScratch<N> {
 pub struct Farmer {
     params: MiningParams,
     pruning: PruningConfig,
-    engine: Engine,
     threads: usize,
     harvest: bool,
     frontier: Option<RowSet>,
 }
 
 impl Farmer {
-    /// A miner with default pruning (all strategies) and the bitset
-    /// engine.
+    /// A miner with default pruning (all strategies).
     pub fn new(params: MiningParams) -> Self {
         Farmer {
             params,
             pruning: PruningConfig::default(),
-            engine: Engine::default(),
             threads: 1,
             harvest: false,
             frontier: None,
@@ -170,12 +167,6 @@ impl Farmer {
     /// Overrides the pruning strategy switchboard (for ablations).
     pub fn with_pruning(mut self, pruning: PruningConfig) -> Self {
         self.pruning = pruning;
-        self
-    }
-
-    /// Selects the conditional-table engine.
-    pub fn with_engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -293,9 +284,9 @@ impl Farmer {
             }
             None => data,
         };
-        let (tt, reordered, order) = {
+        let (reordered, order) = {
             let _transpose = trace::span(tracer, trace::LANE_MAIN, trace::SPAN_TRANSPOSE);
-            TransposedTable::for_mining(data, self.params.target_class)
+            data.reordered_for_class(self.params.target_class)
         };
         // the frontier arrives in original row ids; the search runs in
         // ORD space, so map it through the permutation once
@@ -310,59 +301,15 @@ impl Farmer {
         });
         let frontier = frontier.as_ref();
         if self.threads > 1 {
-            return match self.engine {
-                Engine::Bitset => self.run_parallel(
-                    &BitsetNode::root(&reordered),
-                    &reordered,
-                    &tt,
-                    &order,
-                    frontier,
-                    ctl,
-                    obs,
-                    tracer,
-                ),
-                Engine::PointerList => self.run_parallel(
-                    &PointerNode::root(&tt),
-                    &reordered,
-                    &tt,
-                    &order,
-                    frontier,
-                    ctl,
-                    obs,
-                    tracer,
-                ),
-            };
-        }
-        match self.engine {
-            Engine::Bitset => self.run(
-                BitsetNode::root(&reordered),
-                &reordered,
-                &tt,
-                &order,
-                frontier,
-                ctl,
-                obs,
-                tracer,
-            ),
-            Engine::PointerList => self.run(
-                PointerNode::root(&tt),
-                &reordered,
-                &tt,
-                &order,
-                frontier,
-                ctl,
-                obs,
-                tracer,
-            ),
+            self.run_parallel(&reordered, &order, frontier, ctl, obs, tracer)
+        } else {
+            self.run(&reordered, &order, frontier, ctl, obs, tracer)
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn run<N, O, T>(
+    fn run<O, T>(
         &self,
-        root: N,
         reordered: &Dataset,
-        tt: &TransposedTable,
         order: &[RowId],
         frontier: Option<&RowSet>,
         ctl: &MineControl,
@@ -370,12 +317,11 @@ impl Farmer {
         tracer: &T,
     ) -> MineResult
     where
-        N: CondNode,
         O: MineObserver + ?Sized,
         T: TraceSink + ?Sized,
     {
         let n = reordered.n_rows();
-        let m = tt.n_target();
+        let m = reordered.class_count(self.params.target_class);
         let eff_min_conf = self.effective_min_conf(n, m);
         let mut ctx = Ctx {
             params: &self.params,
@@ -405,7 +351,7 @@ impl Farmer {
             let _enumerate = trace::span(tracer, trace::LANE_MAIN, trace::SPAN_ENUMERATE);
             ctx.visit(
                 &mut scratch,
-                &root,
+                &BitsetNode::root(reordered),
                 None,
                 &RowSet::empty(n),
                 &e_p,
@@ -425,9 +371,9 @@ impl Farmer {
         self.package(irgs, stats, sched, reordered, order, n, m, tracer)
     }
 
-    /// Parallel search: the root is built and scanned **once** (the
-    /// engines borrow the dataset's own tuple store, so the root is
-    /// `Sync` and shared by reference), and the depth-1 subtrees are
+    /// Parallel search: the root is built and scanned **once** (it
+    /// borrows the dataset's own column store, so the root is `Sync`
+    /// and shared by reference), and the depth-1 subtrees are
     /// seeded round-robin into per-worker [`WorkDeque`]s — the owner
     /// works its own deque LIFO while dry workers steal FIFO from the
     /// others, so a worker stuck in a heavy subtree sheds its queued
@@ -457,12 +403,9 @@ impl Farmer {
     /// run's group set may vary between runs (each is still a valid
     /// partial result: every group real, none added on the unwind);
     /// complete runs are unaffected.
-    #[allow(clippy::too_many_arguments)]
-    fn run_parallel<N, O, T>(
+    fn run_parallel<O, T>(
         &self,
-        root: &N,
         reordered: &Dataset,
-        tt: &TransposedTable,
         order: &[RowId],
         frontier: Option<&RowSet>,
         ctl: &MineControl,
@@ -470,12 +413,12 @@ impl Farmer {
         tracer: &T,
     ) -> MineResult
     where
-        N: CondNode + Sync,
         O: MineObserver + ?Sized,
         T: TraceSink + ?Sized,
     {
+        let root = &BitsetNode::root(reordered);
         let n = reordered.n_rows();
-        let m = tt.n_target();
+        let m = reordered.class_count(self.params.target_class);
         let eff_min_conf = self.effective_min_conf(n, m);
         let threads = self.threads;
         let shared_budget = ctl.node_budget.map(SharedBudget::new);
@@ -563,7 +506,7 @@ impl Farmer {
                         let mut rem_n = RowSet::empty(n);
                         // split-task replay buffers (see `Replay`)
                         let mut child2 = root.clone_shell();
-                        let mut ins1 = crate::cond::Inspect::new(n);
+                        let mut ins1 = Inspect::new(n);
                         let mut task_e_p = RowSet::empty(n);
                         let mut task_e_n = RowSet::empty(n);
                         let mut steals = 0u64;
@@ -1023,10 +966,10 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> Ctx<'_, O, T> {
     /// it afterwards. In steady state (warm pool) neither half heap-
     /// allocates; only emission of a threshold-passing group does.
     #[allow(clippy::too_many_arguments)]
-    fn visit<N: CondNode>(
+    fn visit<'t>(
         &mut self,
-        scratch: &mut NodeScratch<N>,
-        node: &N,
+        scratch: &mut NodeScratch<'t>,
+        node: &BitsetNode<'t>,
         last: Option<RowId>,
         counted: &RowSet,
         e_p: &RowSet,
@@ -1072,10 +1015,10 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> Ctx<'_, O, T> {
     }
 
     #[allow(clippy::too_many_arguments)]
-    fn visit_inner<N: CondNode>(
+    fn visit_inner<'t>(
         &mut self,
-        scratch: &mut NodeScratch<N>,
-        node: &N,
+        scratch: &mut NodeScratch<'t>,
+        node: &BitsetNode<'t>,
         last: Option<RowId>,
         counted: &RowSet,
         e_p: &RowSet,
@@ -1152,11 +1095,11 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> Ctx<'_, O, T> {
     /// Early `return`s land back in the wrapper, which releases the
     /// frame to the pool.
     #[allow(clippy::too_many_arguments)]
-    fn visit_scanned<N: CondNode>(
+    fn visit_scanned<'t>(
         &mut self,
-        scratch: &mut NodeScratch<N>,
-        f: &mut Frame<N>,
-        node: &N,
+        scratch: &mut NodeScratch<'t>,
+        f: &mut Frame<'t>,
+        node: &BitsetNode<'t>,
         last: Option<RowId>,
         counted: &RowSet,
         e_p: &RowSet,

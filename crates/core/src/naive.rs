@@ -6,15 +6,18 @@
 //! Definition 2.2 inductively. It is exponential in the number of rows
 //! and exists solely so the test suite can check the real miner *exactly*
 //! (upper bounds, supports, confidences, interestingness, and lower
-//! bounds) on small inputs.
+//! bounds) on small inputs. [`node_scan`] and [`child_items`] do the same
+//! for one node of the search: they read its conditional table from the
+//! dataset's rows, not from the item columns the search scans.
 
+use crate::cond::Inspect;
 use crate::measures::{self, chi_square, Contingency};
 use crate::params::{ExtraConstraint, MiningParams};
 use crate::rule::{MineResult, MineStats, RuleGroup, SchedStats};
 use crate::session::{
     Heartbeat, MineControl, MineObserver, Miner, NoOpObserver, PruneReason, StopCause,
 };
-use farmer_dataset::{ClassLabel, Dataset};
+use farmer_dataset::{ClassLabel, Dataset, ItemId, RowId};
 use rowset::{IdList, RowSet};
 use std::collections::HashMap;
 use std::time::Instant;
@@ -257,6 +260,47 @@ pub fn naive_lower_bounds(upper: &IdList, support_set: &RowSet, data: &Dataset) 
         .into_iter()
         .map(|mask| IdList::from_iter((0..w).filter(|&p| mask & (1 << p) != 0).map(|p| items[p])))
         .collect()
+}
+
+/// The items of `items` that row `r` holds: the child table
+/// `TT|X ∪ {r}` ([`BitsetNode::child`]) by definition, read from the
+/// dataset's rows.
+///
+/// [`BitsetNode::child`]: crate::cond::BitsetNode::child
+pub fn child_items(data: &Dataset, items: &[ItemId], r: RowId) -> Vec<ItemId> {
+    let row = data.row(r);
+    items.iter().copied().filter(|&i| row.contains(i)).collect()
+}
+
+/// A node scan ([`BitsetNode::inspect`]) by definition, read from the
+/// dataset's rows rather than its item columns: `z` holds the rows that
+/// hold every item of `items` (all rows when `items` is empty), `u_p` and
+/// `u_n` the candidates of `e_p` and `e_n` that hold at least one item,
+/// and `max_ep_tuple` is the largest `|e_p ∩ R(i)|` over the items.
+///
+/// [`BitsetNode::inspect`]: crate::cond::BitsetNode::inspect
+pub fn node_scan(data: &Dataset, items: &[ItemId], e_p: &RowSet, e_n: &RowSet) -> Inspect {
+    let holds = |r: usize, i: ItemId| data.row(r as RowId).contains(i);
+    let mut out = Inspect::new(data.n_rows());
+    for r in 0..data.n_rows() {
+        if items.iter().all(|&i| holds(r, i)) {
+            out.z.insert(r);
+        }
+        if items.iter().any(|&i| holds(r, i)) {
+            if e_p.contains(r) {
+                out.u_p.insert(r);
+            }
+            if e_n.contains(r) {
+                out.u_n.insert(r);
+            }
+        }
+    }
+    out.max_ep_tuple = items
+        .iter()
+        .map(|&i| e_p.iter().filter(|&r| holds(r, i)).count())
+        .max()
+        .unwrap_or(0);
+    out
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-//! Mining parameters and pruning/engine configuration.
+//! Mining parameters and pruning configuration.
 
 use farmer_dataset::ClassLabel;
 
@@ -215,18 +215,16 @@ impl PruningConfig {
 
 /// Which conditional-transposed-table representation the search uses.
 ///
-/// Both engines traverse the identical enumeration tree and produce
-/// identical results; they differ only in how `TT|X` is materialized.
+/// The search has one representation, item-column row bitsets (see
+/// [`cond`](crate::cond)), so this enum has one variant and selects
+/// nothing. It stays only because the benchmark harness under
+/// `perfbench/` names it in its call to
+/// `farmer_pipeline::IncrementalMiner::new`; it goes when that call does.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Engine {
-    /// Tuples held as row bitsets; scans are word-parallel. Fastest for
-    /// the microarray shape and the default.
+    /// Tuples held as row bitsets; scans are word-parallel.
     #[default]
     Bitset,
-    /// The paper's §3.3 layout: an in-memory transposed table with
-    /// conditional pointer (cursor) lists per node. Kept as a faithful
-    /// reference implementation and cross-check.
-    PointerList,
 }
 
 #[cfg(test)]
@@ -274,10 +272,5 @@ mod tests {
         let none = PruningConfig::none();
         assert!(!none.strategy1_compression && !none.strategy2_duplicate);
         assert!(!none.strategy3_loose && !none.strategy3_tight);
-    }
-
-    #[test]
-    fn engine_default() {
-        assert_eq!(Engine::default(), Engine::Bitset);
     }
 }

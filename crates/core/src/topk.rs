@@ -15,14 +15,14 @@
 //! confidence, then higher support, then the more general (shorter)
 //! upper bound.
 
-use crate::cond::{BitsetNode, CondNode};
+use crate::cond::BitsetNode;
 use crate::miner::{Frame, NodeScratch};
 use crate::rule::{MineResult, MineStats, RuleGroup, SchedStats};
 use crate::session::{
     ControlState, Heartbeat, MineControl, MineObserver, Miner, NoOpObserver, PruneReason, StopCause,
 };
 use crate::trace::{self, NoopTracer, TraceSink};
-use farmer_dataset::{ClassLabel, Dataset, RowId, TransposedTable};
+use farmer_dataset::{ClassLabel, Dataset, RowId};
 use rowset::{IdList, RowSet};
 use std::time::Instant;
 
@@ -137,12 +137,12 @@ where
     T: TraceSink + ?Sized,
 {
     assert!(k >= 1, "k must be >= 1");
-    let (tt, reordered, order) = {
+    let (reordered, order) = {
         let _transpose = trace::span(tracer, trace::LANE_MAIN, trace::SPAN_TRANSPOSE);
-        TransposedTable::for_mining(data, class)
+        data.reordered_for_class(class)
     };
     let n = reordered.n_rows();
-    let m = tt.n_target();
+    let m = reordered.class_count(class);
     let mut ctx = TopKCtx {
         k,
         min_sup: min_sup.max(1),
@@ -262,7 +262,7 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> TopKCtx<'_, O, T> {
     #[allow(clippy::too_many_arguments)]
     fn visit<'t>(
         &mut self,
-        scratch: &mut NodeScratch<BitsetNode<'t>>,
+        scratch: &mut NodeScratch<'t>,
         node: &BitsetNode<'t>,
         last: Option<RowId>,
         counted: &RowSet,
@@ -288,7 +288,7 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> TopKCtx<'_, O, T> {
     #[allow(clippy::too_many_arguments)]
     fn visit_inner<'t>(
         &mut self,
-        scratch: &mut NodeScratch<BitsetNode<'t>>,
+        scratch: &mut NodeScratch<'t>,
         node: &BitsetNode<'t>,
         last: Option<RowId>,
         counted: &RowSet,
@@ -331,8 +331,8 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> TopKCtx<'_, O, T> {
     #[allow(clippy::too_many_arguments)]
     fn visit_scanned<'t>(
         &mut self,
-        scratch: &mut NodeScratch<BitsetNode<'t>>,
-        f: &mut Frame<BitsetNode<'t>>,
+        scratch: &mut NodeScratch<'t>,
+        f: &mut Frame<'t>,
         node: &BitsetNode<'t>,
         last: Option<RowId>,
         counted: &RowSet,

@@ -41,7 +41,12 @@ pub const SPAN_SESSION: SpanId = SpanId(0);
 pub const SPAN_LOAD: SpanId = SpanId(1);
 /// Discretizing expression values into items (emitted by the CLI).
 pub const SPAN_DISCRETIZE: SpanId = SpanId(2);
-/// Building the transposed table and the `ORD` row permutation.
+/// Reordering the rows into `ORD` order ([`Dataset::reordered_for_class`],
+/// which rebuilds the item-column row sets the search scans as its
+/// transposed table). The name stays `transpose` because the benchmark
+/// harness reports this span as `dataset.transpose_ms`.
+///
+/// [`Dataset::reordered_for_class`]: farmer_dataset::Dataset::reordered_for_class
 pub const SPAN_TRANSPOSE: SpanId = SpanId(3);
 /// Row enumeration — one span per worker lane.
 pub const SPAN_ENUMERATE: SpanId = SpanId(4);
@@ -61,7 +66,7 @@ pub const HIST_NAMES: &[&str] = &["node_visit", "fused_scan", "lower_bound"];
 /// Inclusive duration of one enumeration-node visit (children
 /// included — leaf buckets dominate the low quantiles).
 pub const HIST_NODE_VISIT: HistId = HistId(0);
-/// One fused conditional-table scan (`CondNode::inspect_into`).
+/// One fused conditional-table scan (`BitsetNode::inspect_into`).
 pub const HIST_FUSED_SCAN: HistId = HistId(1);
 /// One `mine_lower_bounds` call during packaging.
 pub const HIST_LOWER_BOUND: HistId = HistId(2);

@@ -7,7 +7,7 @@
 //! a counting global allocator and pins that contract at two levels:
 //!
 //! 1. a micro-probe: repeated `inspect_into` / `child_into` on warm
-//!    buffers allocate exactly nothing, for both engines;
+//!    buffers allocate exactly nothing;
 //! 2. a whole-run budget: a full mine allocates orders of magnitude
 //!    fewer times than it visits nodes (setup, frame warm-up, and
 //!    per-emission costs only).
@@ -18,11 +18,10 @@
 //! process-global counter to see *only* the hot path. A plain `main`
 //! keeps the whole process single-threaded and the measurement exact.
 
-use farmer_core::cond::{BitsetNode, CondNode, Inspect, PointerNode};
-use farmer_core::{Engine, Farmer, MineControl, MiningParams, NoOpObserver, NoopTracer};
+use farmer_core::cond::{BitsetNode, Inspect};
+use farmer_core::{Farmer, MineControl, MiningParams, NoOpObserver, NoopTracer};
 use farmer_dataset::discretize::Discretizer;
 use farmer_dataset::synth::SynthConfig;
-use farmer_dataset::TransposedTable;
 use farmer_support::alloc::{allocation_count, CountingAlloc};
 use farmer_support::thread::WorkDeque;
 use rowset::RowSet;
@@ -81,8 +80,8 @@ fn hot_path_is_allocation_free_once_warm() {
     let e_p = RowSet::from_ids(n, 0..m);
     let e_n = RowSet::from_ids(n, m..n);
 
-    // ---- micro-probe, bitset engine: warm the buffers once, then
-    // demand exact zero across many scan + descend steps
+    // ---- micro-probe: warm the buffers once, then demand exact zero
+    // across many scan + descend steps
     let root = BitsetNode::root(&d);
     let mut ins = Inspect::new(n);
     let mut child = root.clone_shell();
@@ -98,27 +97,7 @@ fn hot_path_is_allocation_free_once_warm() {
     assert_eq!(
         allocation_count() - before,
         0,
-        "warm bitset inspect_into/child_into must not allocate"
-    );
-
-    // ---- micro-probe, pointer engine
-    let (tt, _reordered, _order) = TransposedTable::for_mining(&d, 1);
-    let proot = PointerNode::root(&tt);
-    let mut pins = Inspect::new(n);
-    let mut pchild = proot.clone_shell();
-    proot.inspect_into(&e_p, &e_n, &mut pins);
-    let pprobe = pins.u_p.iter().next().expect("workload has candidates");
-    proot.child_into(pprobe as u32, &mut pchild);
-    let before = allocation_count();
-    for _ in 0..200 {
-        proot.inspect_into(&e_p, &e_n, &mut pins);
-        proot.child_into(pprobe as u32, &mut pchild);
-        pchild.inspect_into(&e_p, &e_n, &mut pins);
-    }
-    assert_eq!(
-        allocation_count() - before,
-        0,
-        "warm pointer inspect_into/child_into must not allocate"
+        "warm inspect_into/child_into must not allocate"
     );
 
     // ---- whole-run budget: allocations are sublinear in nodes visited.
@@ -126,26 +105,27 @@ fn hot_path_is_allocation_free_once_warm() {
     // emissions (upper-bound itemset, support-set clone, final
     // `RuleGroup`) — nothing per ordinary node, which is what the
     // `nodes / 10` term polices.
-    for engine in [Engine::Bitset, Engine::PointerList] {
-        let params = MiningParams::new(1).min_sup(2).lower_bounds(false);
-        let farmer = Farmer::new(params).with_engine(engine);
-        let before = allocation_count();
-        let r = farmer.mine(&d);
-        let allocs = allocation_count() - before;
-        assert!(
-            r.stats.nodes_visited > 1_000,
-            "workload too small to be meaningful: {} nodes",
-            r.stats.nodes_visited
-        );
-        let emissions = r.len() as u64 + r.stats.rejected_not_interesting;
-        let budget = 300 + 16 * emissions + r.stats.nodes_visited / 10;
-        assert!(
-            allocs < budget,
-            "{engine:?}: {allocs} allocations for {} nodes and {emissions} emissions \
-             (budget {budget}) — the hot path is allocating per node again",
-            r.stats.nodes_visited
-        );
-    }
+    let farmer = Farmer::new(MiningParams::new(1).min_sup(2).lower_bounds(false));
+    let before = allocation_count();
+    let r = farmer.mine(&d);
+    let allocs = allocation_count() - before;
+    assert!(
+        r.stats.nodes_visited > 1_000,
+        "workload too small to be meaningful: {} nodes",
+        r.stats.nodes_visited
+    );
+    let emissions = r.len() as u64 + r.stats.rejected_not_interesting;
+    let budget = 300 + 16 * emissions + r.stats.nodes_visited / 10;
+    assert!(
+        allocs < budget,
+        "{allocs} allocations for {} nodes and {emissions} emissions \
+         (budget {budget}) — the hot path is allocating per node again",
+        r.stats.nodes_visited
+    );
+    println!(
+        "whole-run mine: {allocs} allocations for {} nodes (budget {budget})",
+        r.stats.nodes_visited
+    );
 }
 
 /// The tracing instrumentation is statically dispatched: mining through
@@ -156,20 +136,17 @@ fn hot_path_is_allocation_free_once_warm() {
 /// even there the warm path stays allocation-free.)
 fn disabled_tracing_stays_allocation_free() {
     let d = workload();
-    for engine in [Engine::Bitset, Engine::PointerList] {
-        let params = MiningParams::new(1).min_sup(2).lower_bounds(false);
-        let farmer = Farmer::new(params).with_engine(engine);
-        let ctl = MineControl::new();
-        let before = allocation_count();
-        let r = farmer.mine_session_traced(&d, &ctl, &mut NoOpObserver, &NoopTracer);
-        let allocs = allocation_count() - before;
-        let emissions = r.len() as u64 + r.stats.rejected_not_interesting;
-        let budget = 300 + 16 * emissions + r.stats.nodes_visited / 10;
-        assert!(
-            allocs < budget,
-            "{engine:?} (NoopTracer): {allocs} allocations for {} nodes \
-             (budget {budget}) — disabled tracing is no longer free",
-            r.stats.nodes_visited
-        );
-    }
+    let farmer = Farmer::new(MiningParams::new(1).min_sup(2).lower_bounds(false));
+    let ctl = MineControl::new();
+    let before = allocation_count();
+    let r = farmer.mine_session_traced(&d, &ctl, &mut NoOpObserver, &NoopTracer);
+    let allocs = allocation_count() - before;
+    let emissions = r.len() as u64 + r.stats.rejected_not_interesting;
+    let budget = 300 + 16 * emissions + r.stats.nodes_visited / 10;
+    assert!(
+        allocs < budget,
+        "(NoopTracer) {allocs} allocations for {} nodes \
+         (budget {budget}) — disabled tracing is no longer free",
+        r.stats.nodes_visited
+    );
 }

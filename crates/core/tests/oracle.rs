@@ -1,10 +1,9 @@
 //! FARMER vs the brute-force oracle: on small datasets the miner must
 //! reproduce the oracle's IRGs *exactly* — upper bounds, support sets,
-//! counts, and lower bounds — for every engine and every pruning
-//! configuration.
+//! counts, and lower bounds — for every pruning configuration.
 
 use farmer_core::naive::{mine_naive, naive_lower_bounds};
-use farmer_core::{Engine, ExtraConstraint, Farmer, MiningParams, PruningConfig, RuleGroup};
+use farmer_core::{ExtraConstraint, Farmer, MiningParams, PruningConfig, RuleGroup};
 use farmer_dataset::{paper_example, Dataset, DatasetBuilder};
 use farmer_support::rng::{Rng, SeedableRng, StdRng};
 
@@ -32,10 +31,6 @@ fn canon(groups: &[RuleGroup]) -> Vec<CanonGroup> {
     v
 }
 
-fn engines() -> [Engine; 2] {
-    [Engine::Bitset, Engine::PointerList]
-}
-
 fn pruning_configs() -> Vec<PruningConfig> {
     let b = [false, true];
     let mut v = Vec::new();
@@ -58,18 +53,13 @@ fn pruning_configs() -> Vec<PruningConfig> {
 
 fn check_all_configs(data: &Dataset, params: &MiningParams) {
     let expected = canon(&mine_naive(data, params));
-    for engine in engines() {
-        for pruning in pruning_configs() {
-            let result = Farmer::new(params.clone())
-                .with_engine(engine)
-                .with_pruning(pruning)
-                .mine(data);
-            assert_eq!(
-                canon(&result.groups),
-                expected,
-                "mismatch: engine={engine:?} pruning={pruning:?} params={params:?}"
-            );
-        }
+    for pruning in pruning_configs() {
+        let result = Farmer::new(params.clone()).with_pruning(pruning).mine(data);
+        assert_eq!(
+            canon(&result.groups),
+            expected,
+            "mismatch: pruning={pruning:?} params={params:?}"
+        );
     }
 }
 
@@ -128,14 +118,12 @@ fn random_datasets_default_pruning() {
             .min_conf([0.0, 0.5, 0.8][rng.gen_range(0..3usize)])
             .min_chi([0.0, 0.0, 1.0][rng.gen_range(0..3usize)]);
         let expected = canon(&mine_naive(&d, &params));
-        for engine in engines() {
-            let result = Farmer::new(params.clone()).with_engine(engine).mine(&d);
-            assert_eq!(
-                canon(&result.groups),
-                expected,
-                "trial={trial} engine={engine:?} params={params:?}"
-            );
-        }
+        let result = Farmer::new(params.clone()).mine(&d);
+        assert_eq!(
+            canon(&result.groups),
+            expected,
+            "trial={trial} params={params:?}"
+        );
     }
 }
 
@@ -224,14 +212,8 @@ fn extra_constraints_on_random_data() {
             ][trial % 4],
         ];
         let expected = canon(&mine_naive(&d, &params));
-        for engine in engines() {
-            let got = Farmer::new(params.clone()).with_engine(engine).mine(&d);
-            assert_eq!(
-                canon(&got.groups),
-                expected,
-                "trial={trial} engine={engine:?}"
-            );
-        }
+        let got = Farmer::new(params.clone()).mine(&d);
+        assert_eq!(canon(&got.groups), expected, "trial={trial}");
     }
 }
 

@@ -1,6 +1,6 @@
 //! Parallel mining must be exactly equivalent to the sequential run.
 
-use farmer_core::{Engine, Farmer, MiningParams, PruningConfig, RuleGroup};
+use farmer_core::{Farmer, MiningParams, PruningConfig, RuleGroup};
 use farmer_dataset::discretize::Discretizer;
 use farmer_dataset::synth::SynthConfig;
 use farmer_dataset::{paper_example, DatasetBuilder};
@@ -104,17 +104,12 @@ fn parallel_equals_sequential_on_analog() {
         .min_conf(0.8)
         .lower_bounds(false);
     let seq = Farmer::new(params.clone()).mine(&d);
-    for engine in [Engine::Bitset, Engine::PointerList] {
-        let par = Farmer::new(params.clone())
-            .with_engine(engine)
-            .with_parallelism(4)
-            .mine(&d);
-        assert_eq!(canon(&par.groups), canon(&seq.groups), "engine {engine:?}");
-        // both runs traverse the same subtrees (nodes differ only by the
-        // per-thread root re-scan)
-        assert!(par.stats.nodes_visited >= seq.stats.nodes_visited);
-        assert!(par.stats.nodes_visited <= seq.stats.nodes_visited + 4);
-    }
+    let par = Farmer::new(params).with_parallelism(4).mine(&d);
+    assert_eq!(canon(&par.groups), canon(&seq.groups));
+    // both runs traverse the same subtrees (nodes differ only by the
+    // per-thread root re-scan)
+    assert!(par.stats.nodes_visited >= seq.stats.nodes_visited);
+    assert!(par.stats.nodes_visited <= seq.stats.nodes_visited + 4);
 }
 
 #[test]

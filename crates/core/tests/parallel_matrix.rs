@@ -1,7 +1,6 @@
 //! Determinism regression matrix for the deque scheduler: the canonical
-//! `dump_groups` output must be **byte-identical** across every
-//! {threads} × {engine} combination, pinned against the 1-thread bitset
-//! run of the same workload.
+//! `dump_groups` output must be **byte-identical** at every thread
+//! count, pinned against the 1-thread run of the same workload.
 //!
 //! The workloads come from the bench crate (a dev-only dependency):
 //! `skewed_synth` is the hub-skewed dataset whose depth-1 imbalance
@@ -9,7 +8,7 @@
 //! is the largest paper-shaped fixture that still mines in test time.
 
 use farmer_bench::workloads::{efficiency_dataset, skewed_synth, SKEWED_SYNTH_PARAMS};
-use farmer_core::{canonical_sort, dump_groups, Engine, Farmer, MiningParams};
+use farmer_core::{canonical_sort, dump_groups, Farmer, MiningParams};
 use farmer_dataset::synth::PaperDataset;
 use farmer_dataset::Dataset;
 
@@ -18,11 +17,9 @@ use farmer_dataset::Dataset;
 fn mine_dump(
     data: &Dataset,
     params: &MiningParams,
-    engine: Engine,
     threads: usize,
 ) -> (String, farmer_core::MineStats) {
     let result = Farmer::new(params.clone())
-        .with_engine(engine)
         .with_parallelism(threads)
         .mine(data);
     let mut groups = result.groups;
@@ -31,25 +28,17 @@ fn mine_dump(
 }
 
 fn assert_matrix_pinned(data: &Dataset, params: &MiningParams, label: &str) {
-    let (reference, ref_stats) = mine_dump(data, params, Engine::Bitset, 1);
+    let (reference, ref_stats) = mine_dump(data, params, 1);
     assert!(!reference.is_empty(), "{label}: trivial reference run");
-    for engine in [Engine::Bitset, Engine::PointerList] {
-        for threads in [1usize, 2, 4, 8] {
-            let (dump, mut stats) = mine_dump(data, params, engine, threads);
-            assert_eq!(
-                dump, reference,
-                "{label}: dump diverged at {engine:?} t={threads}"
-            );
-            // every parallel worker tallies the shared root once
-            // (long-standing convention, pinned by parallel.rs);
-            // normalize it away, then every deterministic counter must
-            // match
-            stats.nodes_visited -= threads as u64 - 1;
-            assert_eq!(
-                stats, ref_stats,
-                "{label}: stats diverged at {engine:?} t={threads}"
-            );
-        }
+    for threads in [1usize, 2, 4, 8] {
+        let (dump, mut stats) = mine_dump(data, params, threads);
+        assert_eq!(dump, reference, "{label}: dump diverged at t={threads}");
+        // every parallel worker tallies the shared root once
+        // (long-standing convention, pinned by parallel.rs);
+        // normalize it away, then every deterministic counter must
+        // match
+        stats.nodes_visited -= threads as u64 - 1;
+        assert_eq!(stats, ref_stats, "{label}: stats diverged at t={threads}");
     }
 }
 

@@ -4,12 +4,13 @@
 
 use farmer_core::carpenter::carpenter;
 use farmer_core::cobbler::{cobbler, SwitchPolicy};
+use farmer_core::cond::{BitsetNode, Inspect};
 use farmer_core::minelb::mine_lower_bounds;
-use farmer_core::naive::{enumerate_rule_groups, mine_naive, naive_lower_bounds};
-use farmer_core::topk::mine_top_k;
-use farmer_core::{
-    canonical_sort, dump_groups, Engine, Farmer, GeneralityIndex, MiningParams, RuleGroup,
+use farmer_core::naive::{
+    child_items, enumerate_rule_groups, mine_naive, naive_lower_bounds, node_scan,
 };
+use farmer_core::topk::mine_top_k;
+use farmer_core::{canonical_sort, dump_groups, Farmer, GeneralityIndex, MiningParams, RuleGroup};
 use farmer_dataset::{Dataset, DatasetBuilder};
 use farmer_support::check::prelude::*;
 use rowset::{IdList, RowSet};
@@ -61,6 +62,70 @@ fn arb_index_script() -> impl Strategy<Value = Vec<IndexStep>> {
     )
 }
 
+/// Checks `node`'s scan against [`node_scan`], and each candidate
+/// child's items against [`child_items`], for `depth` more levels below
+/// `node`. A child's candidates are its parent's candidates ordered
+/// after the child row, as in the search (without compression). Every
+/// scan also refills `dirty`, a buffer left over from the previous
+/// node, and must match the fresh scan.
+fn check_scans(
+    d: &Dataset,
+    node: &BitsetNode,
+    e_p: &RowSet,
+    e_n: &RowSet,
+    dirty: &mut Inspect,
+    depth: usize,
+) {
+    let want = node_scan(d, node.items(), e_p, e_n);
+    assert_eq!(node.inspect(e_p, e_n), want, "scan of {:?}", node.items());
+    node.inspect_into(e_p, e_n, dirty);
+    assert_eq!(*dirty, want, "recycled scan of {:?}", node.items());
+    if depth == 0 {
+        return;
+    }
+    for r in want.u_p.iter().chain(want.u_n.iter()) {
+        let child = node.child(r as u32);
+        assert_eq!(
+            child.items(),
+            child_items(d, node.items(), r as u32),
+            "child({r})"
+        );
+        let after = |e: &RowSet| RowSet::from_ids(d.n_rows(), e.iter().filter(|&c| c > r));
+        check_scans(
+            d,
+            &child,
+            &after(&want.u_p),
+            &after(&want.u_n),
+            dirty,
+            depth - 1,
+        );
+    }
+}
+
+/// [`check_scans`] from the root of `d` mined for `class`, down to
+/// every depth-2 child.
+fn check_scans_from_root(d: &Dataset, class: u32) {
+    let (reordered, _order) = d.reordered_for_class(class);
+    let n = reordered.n_rows();
+    let m = reordered.class_count(class);
+    let mut dirty = Inspect::new(n);
+    let root = BitsetNode::root(&reordered);
+    // soil the buffer with a swapped-role scan before the first check
+    root.inspect_into(
+        &RowSet::from_ids(n, m..n),
+        &RowSet::from_ids(n, 0..m),
+        &mut dirty,
+    );
+    check_scans(
+        &reordered,
+        &root,
+        &RowSet::from_ids(n, 0..m),
+        &RowSet::from_ids(n, m..n),
+        &mut dirty,
+        2,
+    );
+}
+
 fn canon(groups: &[farmer_core::RuleGroup]) -> Vec<(Vec<u32>, Vec<usize>, usize, usize)> {
     let mut v: Vec<_> = groups
         .iter()
@@ -80,7 +145,7 @@ fn canon(groups: &[farmer_core::RuleGroup]) -> Vec<(Vec<u32>, Vec<usize>, usize,
 check! {
     #![config(cases = 64)]
 
-    /// FARMER (both engines) equals the brute-force oracle.
+    /// FARMER equals the brute-force oracle.
     #[test]
     fn farmer_equals_oracle(
         d in arb_dataset(),
@@ -92,11 +157,8 @@ check! {
             .min_sup(min_sup)
             .min_conf(conf_pct as f64 / 100.0)
             .lower_bounds(false);
-        let expected = canon(&mine_naive(&d, &params));
-        for engine in [Engine::Bitset, Engine::PointerList] {
-            let got = Farmer::new(params.clone()).with_engine(engine).mine(&d);
-            prop_assert_eq!(canon(&got.groups), expected.clone(), "engine {:?}", engine);
-        }
+        let got = Farmer::new(params.clone()).mine(&d);
+        prop_assert_eq!(canon(&got.groups), canon(&mine_naive(&d, &params)));
     }
 
     /// CARPENTER and COBBLER (all policies) find exactly the closed sets
@@ -240,27 +302,24 @@ check! {
         let params = MiningParams::new(class)
             .min_sup(min_sup)
             .lower_bounds(lower_bounds);
-        for engine in [Engine::Bitset, Engine::PointerList] {
-            let harvest = || Farmer::new(params.clone()).with_harvest(true).with_engine(engine);
-            let cold = harvest().mine(&d);
-            let run = harvest().with_frontier(frontier.clone()).mine(&d);
-            let mut want: Vec<RuleGroup> = cold
-                .groups
-                .into_iter()
-                .filter(|g| !g.support_set.is_disjoint(&frontier))
-                .collect();
-            let mut got = run.groups;
-            canonical_sort(&mut want);
-            canonical_sort(&mut got);
-            prop_assert_eq!(dump_groups(&got), dump_groups(&want), "engine {:?}", engine);
-            prop_assert!(
-                run.stats.nodes_visited <= cold.stats.nodes_visited,
-                "engine {:?}: frontier run visited {} nodes, cold harvest {}",
-                engine,
-                run.stats.nodes_visited,
-                cold.stats.nodes_visited
-            );
-        }
+        let harvest = || Farmer::new(params.clone()).with_harvest(true);
+        let cold = harvest().mine(&d);
+        let run = harvest().with_frontier(frontier.clone()).mine(&d);
+        let mut want: Vec<RuleGroup> = cold
+            .groups
+            .into_iter()
+            .filter(|g| !g.support_set.is_disjoint(&frontier))
+            .collect();
+        let mut got = run.groups;
+        canonical_sort(&mut want);
+        canonical_sort(&mut got);
+        prop_assert_eq!(dump_groups(&got), dump_groups(&want));
+        prop_assert!(
+            run.stats.nodes_visited <= cold.stats.nodes_visited,
+            "frontier run visited {} nodes, cold harvest {}",
+            run.stats.nodes_visited,
+            cold.stats.nodes_visited
+        );
     }
 
     /// Top-k per-row results equal the oracle's ranking prefix.
@@ -285,68 +344,22 @@ check! {
         }
     }
 
-    /// Both conditional-table engines traverse identical enumeration
-    /// trees — every counter matches, not just the mined groups — so the
-    /// fused/in-place scan kernels cannot have skewed either engine.
+    /// Node scans and child builds equal their definitions, read from
+    /// the dataset's rows, at the root and at every depth-1 and depth-2
+    /// child; scanning into a dirty recycled buffer equals a fresh scan.
     #[test]
-    fn engines_traverse_identical_trees(
-        d in arb_dataset(),
-        class in 0u32..2,
-        min_sup in 1usize..3,
-    ) {
-        let params = MiningParams::new(class).min_sup(min_sup).lower_bounds(false);
-        let bit = Farmer::new(params.clone()).with_engine(Engine::Bitset).mine(&d);
-        let ptr = Farmer::new(params).with_engine(Engine::PointerList).mine(&d);
-        prop_assert_eq!(canon(&bit.groups), canon(&ptr.groups));
-        prop_assert_eq!(bit.stats, ptr.stats);
+    fn node_scans_match_their_definition(d in arb_dataset(), class in 0u32..2) {
+        check_scans_from_root(&d, class);
     }
 
-    /// Scanning into a dirty recycled buffer equals a fresh allocating
-    /// scan, for both engines, at the root and every depth-1 child.
+    /// The same check on 60–70 rows, so every row set spans two words
+    /// and the scans cross the word boundary at row 64.
     #[test]
-    fn inspect_into_agrees_with_inspect(d in arb_dataset(), class in 0u32..2) {
-        use farmer_core::cond::{BitsetNode, CondNode, Inspect, PointerNode};
-        use farmer_dataset::TransposedTable;
-        let (tt, reordered, _order) = TransposedTable::for_mining(&d, class);
-        let n = reordered.n_rows();
-        let m = tt.n_target();
-        let e_p = RowSet::from_ids(n, 0..m);
-        let e_n = RowSet::from_ids(n, m..n);
-
-        fn check_node<N: CondNode>(
-            node: &N,
-            e_p: &RowSet,
-            e_n: &RowSet,
-            dirty: &mut Inspect,
-        ) -> Inspect {
-            let fresh = node.inspect(e_p, e_n);
-            node.inspect_into(e_p, e_n, dirty);
-            prop_assert_eq!(&fresh.z, &dirty.z);
-            prop_assert_eq!(&fresh.u_p, &dirty.u_p);
-            prop_assert_eq!(&fresh.u_n, &dirty.u_n);
-            prop_assert_eq!(fresh.max_ep_tuple, dirty.max_ep_tuple);
-            fresh
-        }
-
-        let broot = BitsetNode::root(&reordered);
-        let proot = PointerNode::root(&tt);
-        let mut dirty = Inspect::new(n);
-        // soil the shared buffer with a swapped-role scan before each use
-        broot.inspect_into(&e_n, &e_p, &mut dirty);
-        let ins = check_node(&broot, &e_p, &e_n, &mut dirty);
-        for r in ins.u_p.iter().chain(ins.u_n.iter()) {
-            let mut child = broot.clone_shell();
-            broot.child_into(r as u32, &mut child);
-            proot.inspect_into(&e_n, &e_p, &mut dirty);
-            check_node(&child, &e_p, &e_n, &mut dirty);
-        }
-        let pins = check_node(&proot, &e_p, &e_n, &mut dirty);
-        for r in pins.u_p.iter().chain(pins.u_n.iter()) {
-            let mut child = proot.clone_shell();
-            proot.child_into(r as u32, &mut child);
-            broot.inspect_into(&e_n, &e_p, &mut dirty);
-            check_node(&child, &e_p, &e_n, &mut dirty);
-        }
+    fn node_scans_match_their_definition_across_words(
+        d in arb_dataset_of(60..70, 3..8),
+        class in 0u32..2,
+    ) {
+        check_scans_from_root(&d, class);
     }
 
     /// Group invariants: closure, support decomposition, lower bounds.

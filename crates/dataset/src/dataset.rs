@@ -82,9 +82,10 @@ impl Dataset {
     }
 
     /// All per-item row sets, indexed by item id: `item_row_sets()[i]` is
-    /// `R({i})`. The bitset mining engine borrows this slice directly as
-    /// its tuple store, so enumeration shares the dataset's columns
-    /// instead of copying them.
+    /// `R({i})`. This is the transposed table `TT` of the paper: the
+    /// miner's conditional tables borrow this slice directly as their
+    /// tuple store, so enumeration shares the dataset's columns instead
+    /// of copying them.
     #[inline]
     pub fn item_row_sets(&self) -> &[RowSet] {
         &self.item_rows

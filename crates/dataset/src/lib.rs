@@ -4,9 +4,9 @@
 //! level:
 //!
 //! * [`Dataset`] — a discretized, class-labeled transactional table with
-//!   *few rows and many items*, the shape FARMER is designed for;
-//! * [`TransposedTable`] — the item-major view (tuples = items, entries =
-//!   row ids) that FARMER's row enumeration scans;
+//!   *few rows and many items*, the shape FARMER is designed for. Its
+//!   item-major view ([`Dataset::item_row_sets`], one row bitset per
+//!   item) is the transposed table that FARMER's row enumeration scans;
 //! * [`ExpressionMatrix`] — the raw real-valued gene-expression view, plus
 //!   [`discretize`] strategies (equal-depth, equal-width, and the
 //!   Fayyad–Irani entropy/MDL method the paper uses for its classifiers)
@@ -30,11 +30,9 @@ mod matrix;
 pub mod replicate;
 pub mod select;
 pub mod synth;
-mod transposed;
 
 pub use dataset::{ClassLabel, Dataset, DatasetBuilder, ItemId, RowId};
 pub use matrix::ExpressionMatrix;
-pub use transposed::{TransposedTable, Tuple};
 
 /// The running example of the paper (Figure 1(a)): five rows over items
 /// `a..=t`, rows 1–3 labeled class `C` (label 0 here), rows 4–5 labeled

@@ -27,7 +27,7 @@
 //! past (with the error recorded) rather than retried forever.
 
 use crate::engine::IncrementalMiner;
-use farmer_core::{Engine, MiningParams};
+use farmer_core::MiningParams;
 use farmer_dataset::Dataset;
 use farmer_serve::{http_post, ArtifactHandle, IngestHook, IngestRow};
 use farmer_store::{
@@ -71,8 +71,6 @@ pub struct PipelineConfig {
     /// class; `Some(vec![c])` matches a `mine --class c --save-irgs`
     /// artifact.
     pub classes: Option<Vec<u32>>,
-    /// Enumeration engine for both the bootstrap and the deltas.
-    pub engine: Engine,
     /// Worker threads per mine (0 = sequential).
     pub threads: usize,
     /// Quiet window after the last journal growth before a remine
@@ -87,7 +85,7 @@ pub struct PipelineConfig {
 
 impl PipelineConfig {
     /// A config with the given paths and everything else defaulted:
-    /// `min_sup = 1` mining of every class, bitset engine, sequential,
+    /// `min_sup = 1` mining of every class, sequential,
     /// 200 ms debounce, no notification.
     pub fn new(journal: impl Into<PathBuf>, artifact: impl Into<PathBuf>) -> Self {
         PipelineConfig {
@@ -95,7 +93,6 @@ impl PipelineConfig {
             artifact: artifact.into(),
             params: MiningParams::new(0),
             classes: None,
-            engine: Engine::Bitset,
             threads: 0,
             debounce_ms: 200,
             poll_ms: 0,
@@ -308,13 +305,8 @@ impl Pipeline {
             .classes
             .clone()
             .unwrap_or_else(|| (0..base.n_classes() as u32).collect());
-        let mut miner = IncrementalMiner::for_classes(
-            base,
-            config.params.clone(),
-            classes,
-            config.engine,
-            config.threads,
-        );
+        let mut miner =
+            IncrementalMiner::for_classes(base, config.params.clone(), classes, config.threads);
         let mut applied = 0usize;
         if !backlog.is_empty() {
             miner.apply_rows(&backlog).map_err(|e| e.to_string())?;

@@ -1,8 +1,8 @@
 //! The pinning property of the whole subsystem: an [`IncrementalMiner`]
 //! fed row deltas one batch at a time produces **byte-identical**
 //! output (canonical order, `dump_groups` text) to a cold full mine of
-//! the merged dataset — across both enumeration engines, multiple
-//! delta sizes, sequential deltas, and every constraint family the
+//! the merged dataset — across multiple delta sizes, sequential
+//! deltas, and every constraint family the
 //! miner supports (support, raw and lift/conviction-tightened
 //! confidence, χ², footnote-3 extras, lower bounds on and off).
 
@@ -45,12 +45,12 @@ fn as_delta(rows: &[(Vec<u32>, ClassLabel)]) -> Vec<(IdList, ClassLabel)> {
 }
 
 /// Cold reference: full mine of every class on the merged dataset.
-fn cold_dump(data: &Dataset, template: &MiningParams, engine: Engine) -> String {
+fn cold_dump(data: &Dataset, template: &MiningParams) -> String {
     let mut all = Vec::new();
     for class in 0..data.n_classes() as ClassLabel {
         let mut p = template.clone();
         p.target_class = class;
-        all.extend(Farmer::new(p).with_engine(engine).mine(data).groups);
+        all.extend(Farmer::new(p).mine(data).groups);
     }
     canonical_sort(&mut all);
     dump_groups(&all)
@@ -58,11 +58,11 @@ fn cold_dump(data: &Dataset, template: &MiningParams, engine: Engine) -> String 
 
 /// Drives one scenario: bootstrap on the base, then apply `deltas`
 /// sequentially, comparing against a cold remine after every step.
-fn check(seed: u64, template: &MiningParams, engine: Engine, delta_sizes: &[usize], label: &str) {
+fn check(seed: u64, template: &MiningParams, delta_sizes: &[usize], label: &str) {
     let mut rng = StdRng::seed_from_u64(seed);
     let base_rows = random_rows(&mut rng, 14);
     let base = build(&base_rows);
-    let mut inc = IncrementalMiner::new(base.clone(), template.clone(), engine, 1);
+    let mut inc = IncrementalMiner::new(base.clone(), template.clone(), Engine::Bitset, 1);
     let mut merged = base;
     for (step, &size) in delta_sizes.iter().enumerate() {
         let delta_rows = random_rows(&mut rng, size);
@@ -70,35 +70,30 @@ fn check(seed: u64, template: &MiningParams, engine: Engine, delta_sizes: &[usiz
         inc.apply_rows(&delta).unwrap();
         merged = merged.appended(&delta).unwrap();
         let incremental = dump_groups(&inc.groups());
-        let cold = cold_dump(&merged, template, engine);
+        let cold = cold_dump(&merged, template);
         assert_eq!(
             incremental, cold,
-            "divergence: seed={seed} engine={engine:?} params={label} step={step} (+{size} rows)"
+            "divergence: seed={seed} params={label} step={step} (+{size} rows)"
         );
     }
 }
 
-const ENGINES: [Engine; 2] = [Engine::Bitset, Engine::PointerList];
 // ≥ 2 delta sizes, applied sequentially: a single row, then a burst.
 const DELTAS: [usize; 3] = [1, 4, 7];
 
 #[test]
 fn incremental_matches_cold_mine_plain_thresholds() {
     let template = MiningParams::new(0).min_sup(2).lower_bounds(false);
-    for engine in ENGINES {
-        for seed in 0..4 {
-            check(seed, &template, engine, &DELTAS, "min_sup=2");
-        }
+    for seed in 0..4 {
+        check(seed, &template, &DELTAS, "min_sup=2");
     }
 }
 
 #[test]
 fn incremental_matches_cold_mine_with_lower_bounds() {
     let template = MiningParams::new(0).min_sup(2).lower_bounds(true);
-    for engine in ENGINES {
-        for seed in 10..13 {
-            check(seed, &template, engine, &DELTAS, "min_sup=2+lb");
-        }
+    for seed in 10..13 {
+        check(seed, &template, &DELTAS, "min_sup=2+lb");
     }
 }
 
@@ -109,10 +104,8 @@ fn incremental_matches_cold_mine_with_confidence_and_chi() {
         .min_conf(0.6)
         .min_chi(1.0)
         .lower_bounds(true);
-    for engine in ENGINES {
-        for seed in 20..23 {
-            check(seed, &template, engine, &DELTAS, "conf=0.6,chi=1");
-        }
+    for seed in 20..23 {
+        check(seed, &template, &DELTAS, "conf=0.6,chi=1");
     }
 }
 
@@ -125,10 +118,8 @@ fn incremental_matches_cold_mine_with_footnote3_extras() {
         .constrain(ExtraConstraint::MinLift(1.1))
         .constrain(ExtraConstraint::MinGiniGain(0.01))
         .lower_bounds(false);
-    for engine in ENGINES {
-        for seed in 30..33 {
-            check(seed, &template, engine, &DELTAS, "lift=1.1,gini=0.01");
-        }
+    for seed in 30..33 {
+        check(seed, &template, &DELTAS, "lift=1.1,gini=0.01");
     }
 }
 
@@ -137,9 +128,7 @@ fn incremental_matches_cold_mine_on_large_relative_deltas() {
     // Deltas comparable to the base size — the frontier restriction
     // must stay exact even when most rows are new.
     let template = MiningParams::new(0).min_sup(2).min_conf(0.5);
-    for engine in ENGINES {
-        for seed in 40..42 {
-            check(seed, &template, engine, &[10, 14], "half-new");
-        }
+    for seed in 40..42 {
+        check(seed, &template, &[10, 14], "half-new");
     }
 }

@@ -7,7 +7,7 @@
 //! cargo run --release --example real_data_workflow
 //! ```
 
-use farmer_suite::core::{Farmer, GroupIndex, MiningParams};
+use farmer_suite::core::{Farmer, MiningParams};
 use farmer_suite::dataset::discretize::Discretizer;
 use farmer_suite::dataset::io::{load_matrix_csv, save_matrix_csv};
 use farmer_suite::dataset::synth::SynthConfig;
@@ -81,10 +81,8 @@ fn main() {
             data.n_items(),
             result.len()
         );
-        let n_items = data.n_items();
-        let index = GroupIndex::new(result.groups, n_items);
-        if let Some(best) = index
-            .groups()
+        let groups = &result.groups;
+        if let Some(best) = groups
             .iter()
             .max_by(|a, b| a.confidence().partial_cmp(&b.confidence()).unwrap())
         {
@@ -94,13 +92,28 @@ fn main() {
                 println!(
                     "  groups mentioning {}: {}",
                     data.item_name(first_item),
-                    index.mentioning_item(first_item).count()
+                    groups
+                        .iter()
+                        .filter(|g| g.upper.contains(first_item))
+                        .count()
                 );
             }
         }
-        // triage one sample through the index
-        let sample = data.row(0).clone();
-        match index.best_firing_on(&sample) {
+        // triage one sample: of the groups that fire on it (some lower
+        // bound, a most general member, lies inside the sample), take the
+        // best by confidence, then support, then the shorter upper bound
+        let sample = data.row(0);
+        let best = groups
+            .iter()
+            .filter(|g| g.lower.iter().any(|l| l.is_subset(sample)))
+            .max_by(|a, b| {
+                a.confidence()
+                    .partial_cmp(&b.confidence())
+                    .expect("finite")
+                    .then(a.sup.cmp(&b.sup))
+                    .then(b.upper.len().cmp(&a.upper.len()))
+            });
+        match best {
             Some(g) => println!(
                 "  sample 0 [{}] fires {} (conf {:.0}%)",
                 data.class_name(data.label(0)),

@@ -21,10 +21,10 @@ cargo test -q --offline -p farmer-baselines adapters
 echo "==> allocation guard (hot path must not allocate once warm; release)"
 cargo test -q --offline --release -p farmer-core --test alloc_guard
 
-echo "==> parallel determinism matrix (threads x engine, byte-pinned)"
+echo "==> parallel determinism matrix (1/2/4/8 threads, byte-pinned)"
 cargo test -q --offline -p farmer-core --test parallel_matrix
 
-echo "==> parallel hammer (8 threads, both engines, vs sequential oracle)"
+echo "==> parallel hammer (8 threads vs sequential oracle)"
 cargo test -q --offline --test stress parallel_hammer
 
 echo "==> CLI --stats-json smoke (output must parse with support::json)"
@@ -202,6 +202,12 @@ grep -q '"pipeline"' "$tmp/live_stats.json"
 grep -q '"generation":1' "$tmp/live_stats.json"
 wait "$live_pid"
 grep -q 'shut down cleanly' "$tmp/live.log"
+
+echo "==> perfbench builds against the current API (its unit tests; release)"
+# perfbench is a workspace of its own, so the workspace build above does
+# not compile it; without this step an API change could break the
+# benchmark unnoticed
+cargo test -q --offline --release --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo fmt --check"
 cargo fmt --check

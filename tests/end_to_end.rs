@@ -8,10 +8,13 @@ use farmer_suite::baselines::column_e::column_e;
 use farmer_suite::classify::pipeline::DiscretizedSplit;
 use farmer_suite::classify::{CbaClassifier, IrgClassifier, SvmClassifier, SvmConfig};
 use farmer_suite::core::carpenter::carpenter;
-use farmer_suite::core::{Engine, Farmer, MiningParams};
+use farmer_suite::core::cond::BitsetNode;
+use farmer_suite::core::naive::{child_items, node_scan};
+use farmer_suite::core::{Farmer, MiningParams};
 use farmer_suite::dataset::discretize::Discretizer;
 use farmer_suite::dataset::synth::{PaperDataset, SynthConfig};
 use farmer_suite::dataset::{replicate, Dataset};
+use farmer_suite::rowset::RowSet;
 use std::collections::HashSet;
 
 fn small_analog() -> Dataset {
@@ -53,27 +56,41 @@ fn full_mining_pipeline() {
     }
 }
 
+/// Checks `node`'s scan and, for `depth` more levels, each candidate
+/// child's items against their definitions read from the rows of `d`.
+/// A child's candidates are its parent's candidates ordered after the
+/// child row. Returns the number of nodes checked.
+fn check_scans(d: &Dataset, node: &BitsetNode, e_p: &RowSet, e_n: &RowSet, depth: usize) -> usize {
+    let want = node_scan(d, node.items(), e_p, e_n);
+    assert_eq!(node.inspect(e_p, e_n), want, "scan of {:?}", node.items());
+    if depth == 0 {
+        return 1;
+    }
+    let mut checked = 1;
+    for r in want.u_p.iter().chain(want.u_n.iter()) {
+        let child = node.child(r as u32);
+        assert_eq!(
+            child.items(),
+            child_items(d, node.items(), r as u32),
+            "child({r})"
+        );
+        let after = |e: &RowSet| RowSet::from_ids(d.n_rows(), e.iter().filter(|&c| c > r));
+        checked += check_scans(d, &child, &after(&want.u_p), &after(&want.u_n), depth - 1);
+    }
+    checked
+}
+
 #[test]
-fn engines_agree_on_realistic_data() {
-    let d = small_analog();
-    let params = MiningParams::new(1)
-        .min_sup(3)
-        .min_conf(0.5)
-        .lower_bounds(false);
-    let a = Farmer::new(params.clone())
-        .with_engine(Engine::Bitset)
-        .mine(&d);
-    let b = Farmer::new(params)
-        .with_engine(Engine::PointerList)
-        .mine(&d);
-    let canon = |r: &farmer_suite::core::MineResult| -> HashSet<Vec<u32>> {
-        r.groups
-            .iter()
-            .map(|g| g.upper.as_slice().to_vec())
-            .collect()
-    };
-    assert_eq!(canon(&a), canon(&b));
-    assert_eq!(a.stats.nodes_visited, b.stats.nodes_visited);
+fn node_scans_match_their_definition_on_realistic_data() {
+    // the search's view: class-1 rows first (ORD), all rows candidates
+    let (d, _order) = small_analog().reordered_for_class(1);
+    let (n, m) = (d.n_rows(), d.class_count(1));
+    let root = BitsetNode::root(&d);
+    let e_p = RowSet::from_ids(n, 0..m);
+    let e_n = RowSet::from_ids(n, m..n);
+    // the root and every depth-1 and depth-2 child
+    let checked = check_scans(&d, &root, &e_p, &e_n, 2);
+    assert!(checked > n, "only {checked} nodes checked");
 }
 
 #[test]

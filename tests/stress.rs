@@ -10,7 +10,7 @@ use farmer_suite::baselines::column_e::column_e;
 use farmer_suite::core::carpenter::carpenter;
 use farmer_suite::core::cobbler::{cobbler, SwitchPolicy};
 use farmer_suite::core::naive::mine_naive;
-use farmer_suite::core::{Engine, Farmer, MiningParams};
+use farmer_suite::core::{Farmer, MiningParams};
 use farmer_suite::dataset::DatasetBuilder;
 use farmer_support::rng::{Rng, SeedableRng, StdRng};
 use std::collections::HashSet;
@@ -19,8 +19,8 @@ use std::collections::HashSet;
 /// depth-1 subtrees on most trials, deques run dry constantly and the
 /// steal and split paths race on every run. The sequential run is the
 /// oracle: the parallel result must contain exactly the same groups
-/// (none lost, none duplicated by a missed dedupe), on both engines.
-/// Seeded, so failures replay.
+/// (none lost, none duplicated by a missed dedupe). Seeded, so failures
+/// replay.
 #[test]
 fn parallel_hammer_vs_sequential_oracle() {
     let mut rng = StdRng::seed_from_u64(0xFA12_6B07);
@@ -52,23 +52,18 @@ fn parallel_hammer_vs_sequential_oracle() {
         let oracle = Farmer::new(params.clone()).mine(&d);
         let want = canon(&oracle.groups);
 
-        for engine in [Engine::Bitset, Engine::PointerList] {
-            let got = Farmer::new(params.clone())
-                .with_engine(engine)
-                .with_parallelism(8)
-                .mine(&d);
-            let got_canon = canon(&got.groups);
-            // no duplicate closed groups survive the merge
-            let mut dedup = got_canon.clone();
-            dedup.dedup();
-            assert_eq!(
-                dedup.len(),
-                got_canon.len(),
-                "trial {trial} {engine:?}: duplicate groups"
-            );
-            // no lost groups, none invented
-            assert_eq!(got_canon, want, "trial {trial} {engine:?}");
-        }
+        let got = Farmer::new(params.clone()).with_parallelism(8).mine(&d);
+        let got_canon = canon(&got.groups);
+        // no duplicate closed groups survive the merge
+        let mut dedup = got_canon.clone();
+        dedup.dedup();
+        assert_eq!(
+            dedup.len(),
+            got_canon.len(),
+            "trial {trial}: duplicate groups"
+        );
+        // no lost groups, none invented
+        assert_eq!(got_canon, want, "trial {trial}");
     }
 }
 
@@ -156,10 +151,8 @@ fn randomized_cross_miner_consistency() {
                     .collect()
             };
         let want = canon_groups(&mine_naive(&d, &params));
-        for engine in [Engine::Bitset, Engine::PointerList] {
-            let got = Farmer::new(params.clone()).with_engine(engine).mine(&d);
-            assert_eq!(canon_groups(&got.groups), want, "trial {trial} {engine:?}");
-        }
+        let got = Farmer::new(params.clone()).mine(&d);
+        assert_eq!(canon_groups(&got.groups), want, "trial {trial}");
         let par = Farmer::new(params.clone()).with_parallelism(3).mine(&d);
         assert_eq!(canon_groups(&par.groups), want, "trial {trial} parallel");
         let cole = column_e(&d, &params, Some(50_000_000)).expect_done("small data");
