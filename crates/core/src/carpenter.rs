@@ -10,7 +10,7 @@
 //! the column-enumeration closed-set miners (CHARM, CLOSET+) in the
 //! baselines crate.
 
-use crate::cond::BitsetNode;
+use crate::cond::{BitsetNode, Table};
 use farmer_dataset::{Dataset, RowId};
 use rowset::{IdList, RowSet};
 
@@ -72,7 +72,8 @@ pub fn carpenter(data: &Dataset, min_sup: usize) -> CarpenterResult {
         patterns: Vec::new(),
         stats: CarpenterStats::default(),
     };
-    let root = BitsetNode::root(data);
+    let table = Table::new(data);
+    let root = BitsetNode::root(&table);
     let all = RowSet::full(n);
     ctx.visit(&root, None, &RowSet::empty(n), all);
     CarpenterResult {

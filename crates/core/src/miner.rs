@@ -1,6 +1,6 @@
 //! The FARMER search: depth-first row enumeration with pruning.
 
-use crate::cond::{BitsetNode, Inspect};
+use crate::cond::{BitsetNode, Inspect, Table};
 use crate::generality::GeneralityIndex;
 use crate::measures::{self, chi_square, chi_square_upper_bound, convex_upper_bound, Contingency};
 use crate::minelb::mine_lower_bounds;
@@ -20,9 +20,10 @@ use std::time::Instant;
 /// One recursion frame's worth of buffers: everything a node of the
 /// enumeration needs beyond its inputs. Pooled by [`NodeScratch`].
 pub(crate) struct Frame<'a> {
-    /// Buffer the node's children are built into
-    /// ([`BitsetNode::child_into`]).
-    pub(crate) child: BitsetNode<'a>,
+    /// The node's own table `TT|X`, built from its parent's
+    /// ([`BitsetNode::child_into`]) once the node has passed the loose
+    /// bounds.
+    pub(crate) node: BitsetNode<'a>,
     /// Buffer for the node's scan results.
     pub(crate) ins: Inspect,
     /// Positive candidates passed to children (post-compression).
@@ -72,21 +73,28 @@ impl<'a> NodeScratch<'a> {
         self.peak
     }
 
-    /// Pops a frame, building a fresh one from `proto`'s shell if the
-    /// pool is dry (i.e. this is the deepest the search has been).
-    pub(crate) fn acquire(&mut self, proto: &BitsetNode<'a>) -> Frame<'a> {
+    /// Pops a frame (building a fresh one if the pool is dry, i.e. this
+    /// is the deepest the search has been) and builds the entered node's
+    /// table into it: `parent`'s child on row `last` (Lemma 3.3), or a
+    /// copy of `parent` at the root (`last` is `None`).
+    pub(crate) fn acquire(&mut self, parent: &BitsetNode<'a>, last: Option<RowId>) -> Frame<'a> {
         self.in_flight += 1;
         self.peak = self.peak.max(self.in_flight);
         let n = self.n_rows;
-        self.pool.pop().unwrap_or_else(|| Frame {
-            child: proto.clone_shell(),
+        let mut frame = self.pool.pop().unwrap_or_else(|| Frame {
+            node: parent.clone_shell(),
             ins: Inspect::new(n),
             next_e_p: RowSet::empty(n),
             next_e_n: RowSet::empty(n),
             remaining_p: RowSet::empty(n),
             remaining_n: RowSet::empty(n),
             counted_next: RowSet::empty(n),
-        })
+        });
+        match last {
+            Some(r) => parent.child_into(r, &mut frame.node),
+            None => frame.node.clone_from(parent),
+        }
+        frame
     }
 
     /// Returns a frame to the pool for reuse by a sibling node.
@@ -284,9 +292,11 @@ impl Farmer {
             }
             None => data,
         };
-        let (reordered, order) = {
+        let (reordered, order, table) = {
             let _transpose = trace::span(tracer, trace::LANE_MAIN, trace::SPAN_TRANSPOSE);
-            data.reordered_for_class(self.params.target_class)
+            let (reordered, order) = data.reordered_for_class(self.params.target_class);
+            let table = Table::new(&reordered);
+            (reordered, order, table)
         };
         // the frontier arrives in original row ids; the search runs in
         // ORD space, so map it through the permutation once
@@ -301,15 +311,17 @@ impl Farmer {
         });
         let frontier = frontier.as_ref();
         if self.threads > 1 {
-            self.run_parallel(&reordered, &order, frontier, ctl, obs, tracer)
+            self.run_parallel(&reordered, &table, &order, frontier, ctl, obs, tracer)
         } else {
-            self.run(&reordered, &order, frontier, ctl, obs, tracer)
+            self.run(&reordered, &table, &order, frontier, ctl, obs, tracer)
         }
     }
 
+    #[allow(clippy::too_many_arguments)]
     fn run<O, T>(
         &self,
         reordered: &Dataset,
+        table: &Table,
         order: &[RowId],
         frontier: Option<&RowSet>,
         ctl: &MineControl,
@@ -351,7 +363,7 @@ impl Farmer {
             let _enumerate = trace::span(tracer, trace::LANE_MAIN, trace::SPAN_ENUMERATE);
             ctx.visit(
                 &mut scratch,
-                &BitsetNode::root(reordered),
+                &BitsetNode::root(table),
                 None,
                 &RowSet::empty(n),
                 &e_p,
@@ -372,8 +384,8 @@ impl Farmer {
     }
 
     /// Parallel search: the root is built and scanned **once** (it
-    /// borrows the dataset's own column store, so the root is `Sync`
-    /// and shared by reference), and the depth-1 subtrees are
+    /// borrows the mine's [`Table`], so the root is `Sync` and shared
+    /// by reference), and the depth-1 subtrees are
     /// seeded round-robin into per-worker [`WorkDeque`]s — the owner
     /// works its own deque LIFO while dry workers steal FIFO from the
     /// others, so a worker stuck in a heavy subtree sheds its queued
@@ -403,9 +415,11 @@ impl Farmer {
     /// run's group set may vary between runs (each is still a valid
     /// partial result: every group real, none added on the unwind);
     /// complete runs are unaffected.
+    #[allow(clippy::too_many_arguments)]
     fn run_parallel<O, T>(
         &self,
         reordered: &Dataset,
+        table: &Table,
         order: &[RowId],
         frontier: Option<&RowSet>,
         ctl: &MineControl,
@@ -416,7 +430,7 @@ impl Farmer {
         O: MineObserver + ?Sized,
         T: TraceSink + ?Sized,
     {
-        let root = &BitsetNode::root(reordered);
+        let root = &BitsetNode::root(table);
         let n = reordered.n_rows();
         let m = reordered.class_count(self.params.target_class);
         let eff_min_conf = self.effective_min_conf(n, m);
@@ -500,12 +514,12 @@ impl Farmer {
                         ctx.stats.nodes_visited += 1; // the shared root
                         let mut scratch = NodeScratch::new(n);
                         // depth-1 task buffers
-                        let mut child = root.clone_shell();
                         let mut counted = RowSet::empty(n);
                         let mut rem_p = RowSet::empty(n);
                         let mut rem_n = RowSet::empty(n);
-                        // split-task replay buffers (see `Replay`)
-                        let mut child2 = root.clone_shell();
+                        // split-task replay buffers: the depth-1 node
+                        // and its scan
+                        let mut node1 = root.clone_shell();
                         let mut ins1 = Inspect::new(n);
                         let mut task_e_p = RowSet::empty(n);
                         let mut task_e_n = RowSet::empty(n);
@@ -578,14 +592,13 @@ impl Farmer {
                                     ctx.current_root = idx as u32;
                                     counted.clear();
                                     counted.insert(r);
-                                    root.child_into(r as RowId, &mut child);
                                     if idx < n_pos {
                                         // positive subtree: candidates after r
                                         rem_p.copy_from(&ins.u_p);
                                         rem_p.clear_through(r);
                                         ctx.visit(
                                             &mut scratch,
-                                            &child,
+                                            root,
                                             Some(r as RowId),
                                             &counted,
                                             &rem_p,
@@ -601,7 +614,7 @@ impl Farmer {
                                         rem_n.clear_through(r);
                                         ctx.visit(
                                             &mut scratch,
-                                            &child,
+                                            root,
                                             Some(r as RowId),
                                             &counted,
                                             &rem_p,
@@ -620,7 +633,7 @@ impl Farmer {
                                     // node count — because the depth-1 node
                                     // was already visited by the splitter.
                                     let c = (c_plus_1 - 1) as usize;
-                                    root.child_into(r as RowId, &mut child);
+                                    root.child_into(r as RowId, &mut node1);
                                     if idx < n_pos {
                                         task_e_p.copy_from(&ins.u_p);
                                         task_e_p.clear_through(r);
@@ -630,7 +643,7 @@ impl Farmer {
                                         task_e_n.copy_from(&ins.u_n);
                                         task_e_n.clear_through(r);
                                     }
-                                    child.inspect_into(&task_e_p, &task_e_n, &mut ins1);
+                                    node1.inspect_into(&task_e_p, &task_e_n, &mut ins1);
                                     let sup_p1 = ins1.z.intersection_len(&ctx.pos_mask);
                                     let sup_n1 = ins1.z.len() - sup_p1;
                                     counted.clear();
@@ -648,7 +661,6 @@ impl Farmer {
                                     }
                                     debug_assert!(!counted.contains(c));
                                     counted.insert(c);
-                                    child.child_into(c as RowId, &mut child2);
                                     if c < m {
                                         // positive child: later positives
                                         // plus the full negative list
@@ -661,7 +673,7 @@ impl Farmer {
                                     }
                                     ctx.visit(
                                         &mut scratch,
-                                        &child2,
+                                        &node1,
                                         Some(c as RowId),
                                         &counted,
                                         &rem_p,
@@ -954,22 +966,26 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> Ctx<'_, O, T> {
 
     /// One node of the enumeration tree (Figure 5's `MineIRGs`).
     ///
-    /// `last` is the row whose addition created this node (`None` at the
-    /// root); `counted` is `X` plus every row folded away by pruning
-    /// strategy 1 at ancestors; `parent_sup_p`/`parent_sup_n` are the
-    /// parent rule's exact support counts (for the loose bounds).
+    /// `last` is the row whose addition created this node and `parent`
+    /// the node it was added to; at the root `last` is `None` and
+    /// `parent` is the root itself. `counted` is `X` plus every row
+    /// folded away by pruning strategy 1 at ancestors;
+    /// `parent_sup_p`/`parent_sup_n` are the parent rule's exact support
+    /// counts (for the loose bounds).
     ///
-    /// Split in two so the scratch arena only pays a frame for nodes
-    /// that survive the pre-scan checks: this wrapper runs the cheap
-    /// accounting and the loose bounds, then borrows a [`Frame`] from
-    /// `scratch` for [`visit_scanned`](Self::visit_scanned) and returns
-    /// it afterwards. In steady state (warm pool) neither half heap-
-    /// allocates; only emission of a threshold-passing group does.
+    /// Split in two so that only nodes surviving the pre-scan checks pay
+    /// for a frame and a table: this wrapper runs the cheap accounting
+    /// and the loose bounds, then borrows a [`Frame`] holding the node's
+    /// table from `scratch`, runs [`visit_scanned`](Self::visit_scanned)
+    /// and returns the frame. The loose bounds read only the parent's
+    /// counts and `e_p`, so building the table after them changes no
+    /// count, tick or event. In steady state (warm pool) neither half
+    /// heap-allocates; only emission of a threshold-passing group does.
     #[allow(clippy::too_many_arguments)]
     fn visit<'t>(
         &mut self,
         scratch: &mut NodeScratch<'t>,
-        node: &BitsetNode<'t>,
+        parent: &BitsetNode<'t>,
         last: Option<RowId>,
         counted: &RowSet,
         e_p: &RowSet,
@@ -985,7 +1001,7 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> Ctx<'_, O, T> {
             let t0 = self.tracer.now_ns();
             self.visit_inner(
                 scratch,
-                node,
+                parent,
                 last,
                 counted,
                 e_p,
@@ -1002,7 +1018,7 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> Ctx<'_, O, T> {
         } else {
             self.visit_inner(
                 scratch,
-                node,
+                parent,
                 last,
                 counted,
                 e_p,
@@ -1018,7 +1034,7 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> Ctx<'_, O, T> {
     fn visit_inner<'t>(
         &mut self,
         scratch: &mut NodeScratch<'t>,
-        node: &BitsetNode<'t>,
+        parent: &BitsetNode<'t>,
         last: Option<RowId>,
         counted: &RowSet,
         e_p: &RowSet,
@@ -1075,11 +1091,10 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> Ctx<'_, O, T> {
             }
         }
 
-        let mut frame = scratch.acquire(node);
+        let mut frame = scratch.acquire(parent, last);
         self.visit_scanned(
             scratch,
             &mut frame,
-            node,
             last,
             counted,
             e_p,
@@ -1091,15 +1106,14 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> Ctx<'_, O, T> {
     }
 
     /// The scan-onwards half of [`visit`](Self::visit): steps 3–7 of
-    /// `MineIRGs`, working entirely inside the borrowed frame `f`.
-    /// Early `return`s land back in the wrapper, which releases the
-    /// frame to the pool.
+    /// `MineIRGs`, working entirely inside the borrowed frame `f`, whose
+    /// `node` holds this node's table. Early `return`s land back in the
+    /// wrapper, which releases the frame to the pool.
     #[allow(clippy::too_many_arguments)]
     fn visit_scanned<'t>(
         &mut self,
         scratch: &mut NodeScratch<'t>,
         f: &mut Frame<'t>,
-        node: &BitsetNode<'t>,
         last: Option<RowId>,
         counted: &RowSet,
         e_p: &RowSet,
@@ -1113,14 +1127,14 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> Ctx<'_, O, T> {
         // ---- Scan TT|X (step 3).
         if self.tracer.enabled() {
             let t0 = self.tracer.now_ns();
-            node.inspect_into(e_p, e_n, &mut f.ins);
+            f.node.inspect_into(e_p, e_n, &mut f.ins);
             self.tracer.duration_ns(
                 self.lane,
                 trace::HIST_FUSED_SCAN,
                 self.tracer.now_ns().saturating_sub(t0),
             );
         } else {
-            node.inspect_into(e_p, e_n, &mut f.ins);
+            f.node.inspect_into(e_p, e_n, &mut f.ins);
         }
 
         // ---- Delta-restricted frontier: a subtree is worth entering
@@ -1268,10 +1282,9 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> Ctx<'_, O, T> {
             }
             debug_assert!(!f.counted_next.contains(r));
             f.counted_next.insert(r);
-            node.child_into(r as RowId, &mut f.child);
             self.visit(
                 scratch,
-                &f.child,
+                &f.node,
                 Some(r as RowId),
                 &f.counted_next,
                 &f.remaining_p,
@@ -1296,10 +1309,9 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> Ctx<'_, O, T> {
             }
             debug_assert!(!f.counted_next.contains(r));
             f.counted_next.insert(r);
-            node.child_into(r as RowId, &mut f.child);
             self.visit(
                 scratch,
-                &f.child,
+                &f.node,
                 Some(r as RowId),
                 &f.counted_next,
                 &f.remaining_p,
@@ -1354,7 +1366,7 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> Ctx<'_, O, T> {
                 }
             }
         }
-        let upper = IdList::from_iter(node.items().iter().copied());
+        let upper = IdList::from_iter(f.node.items().iter().copied());
         // Both checks probe only the buckets of this upper bound's own
         // items (see `GeneralityIndex`). A repeat discovery, reachable
         // only with pruning strategy 2 disabled, is dropped silently and

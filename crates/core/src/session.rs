@@ -360,7 +360,7 @@ impl MineControl {
     /// "every node"), otherwise a heartbeat is due every `every` nodes.
     #[inline]
     pub fn heartbeat_due(every: u64, nodes: u64) -> bool {
-        every > 0 && nodes % every == 0
+        every > 0 && nodes.is_multiple_of(every)
     }
 
     /// A handle that cancels this run (and every clone of this control)

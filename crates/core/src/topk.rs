@@ -15,7 +15,7 @@
 //! confidence, then higher support, then the more general (shorter)
 //! upper bound.
 
-use crate::cond::BitsetNode;
+use crate::cond::{BitsetNode, Table};
 use crate::miner::{Frame, NodeScratch};
 use crate::rule::{MineResult, MineStats, RuleGroup, SchedStats};
 use crate::session::{
@@ -137,9 +137,11 @@ where
     T: TraceSink + ?Sized,
 {
     assert!(k >= 1, "k must be >= 1");
-    let (reordered, order) = {
+    let (reordered, order, table) = {
         let _transpose = trace::span(tracer, trace::LANE_MAIN, trace::SPAN_TRANSPOSE);
-        data.reordered_for_class(class)
+        let (reordered, order) = data.reordered_for_class(class);
+        let table = Table::new(&reordered);
+        (reordered, order, table)
     };
     let n = reordered.n_rows();
     let m = reordered.class_count(class);
@@ -161,7 +163,7 @@ where
         pruned_floor: 0,
         groups_offered: 0,
     };
-    let root = BitsetNode::root(&reordered);
+    let root = BitsetNode::root(&table);
     let e_p = RowSet::from_ids(n, 0..m);
     let e_n = RowSet::from_ids(n, m..n);
     let mut scratch = NodeScratch::new(n);
@@ -255,15 +257,16 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> TopKCtx<'_, O, T> {
     }
 
     /// Split like `Farmer`'s visit: the wrapper runs the cheap per-node
-    /// accounting, borrows a [`Frame`] from the scratch arena, and
-    /// releases it when [`visit_scanned`](Self::visit_scanned) returns,
-    /// so steady-state enumeration reuses pooled buffers instead of
-    /// allocating per node.
+    /// accounting, borrows a [`Frame`] holding the node's table (built
+    /// from `parent`; at the root, `parent` is the root itself) from the
+    /// scratch arena, and releases it when
+    /// [`visit_scanned`](Self::visit_scanned) returns, so steady-state
+    /// enumeration reuses pooled buffers instead of allocating per node.
     #[allow(clippy::too_many_arguments)]
     fn visit<'t>(
         &mut self,
         scratch: &mut NodeScratch<'t>,
-        node: &BitsetNode<'t>,
+        parent: &BitsetNode<'t>,
         last: Option<RowId>,
         counted: &RowSet,
         e_p: &RowSet,
@@ -274,14 +277,32 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> TopKCtx<'_, O, T> {
         // compile-time branch: NoopTracer keeps the hot path clock-free
         if self.tracer.enabled() {
             let t0 = self.tracer.now_ns();
-            self.visit_inner(scratch, node, last, counted, e_p, e_n, parent_sup_p, depth);
+            self.visit_inner(
+                scratch,
+                parent,
+                last,
+                counted,
+                e_p,
+                e_n,
+                parent_sup_p,
+                depth,
+            );
             self.tracer.duration_ns(
                 trace::LANE_MAIN,
                 trace::HIST_NODE_VISIT,
                 self.tracer.now_ns().saturating_sub(t0),
             );
         } else {
-            self.visit_inner(scratch, node, last, counted, e_p, e_n, parent_sup_p, depth);
+            self.visit_inner(
+                scratch,
+                parent,
+                last,
+                counted,
+                e_p,
+                e_n,
+                parent_sup_p,
+                depth,
+            );
         }
     }
 
@@ -289,7 +310,7 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> TopKCtx<'_, O, T> {
     fn visit_inner<'t>(
         &mut self,
         scratch: &mut NodeScratch<'t>,
-        node: &BitsetNode<'t>,
+        parent: &BitsetNode<'t>,
         last: Option<RowId>,
         counted: &RowSet,
         e_p: &RowSet,
@@ -313,11 +334,10 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> TopKCtx<'_, O, T> {
                 elapsed: self.start.elapsed(),
             });
         }
-        let mut frame = scratch.acquire(node);
+        let mut frame = scratch.acquire(parent, last);
         self.visit_scanned(
             scratch,
             &mut frame,
-            node,
             last,
             counted,
             e_p,
@@ -333,7 +353,6 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> TopKCtx<'_, O, T> {
         &mut self,
         scratch: &mut NodeScratch<'t>,
         f: &mut Frame<'t>,
-        node: &BitsetNode<'t>,
         last: Option<RowId>,
         counted: &RowSet,
         e_p: &RowSet,
@@ -346,14 +365,14 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> TopKCtx<'_, O, T> {
 
         if self.tracer.enabled() {
             let t0 = self.tracer.now_ns();
-            node.inspect_into(e_p, e_n, &mut f.ins);
+            f.node.inspect_into(e_p, e_n, &mut f.ins);
             self.tracer.duration_ns(
                 trace::LANE_MAIN,
                 trace::HIST_FUSED_SCAN,
                 self.tracer.now_ns().saturating_sub(t0),
             );
         } else {
-            node.inspect_into(e_p, e_n, &mut f.ins);
+            f.node.inspect_into(e_p, e_n, &mut f.ins);
         }
 
         // duplicate-subtree pruning, as in FARMER strategy 2
@@ -418,10 +437,9 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> TopKCtx<'_, O, T> {
             f.remaining_p.remove(r);
             debug_assert!(!f.counted_next.contains(r));
             f.counted_next.insert(r);
-            node.child_into(r as RowId, &mut f.child);
             self.visit(
                 scratch,
-                &f.child,
+                &f.node,
                 Some(r as RowId),
                 &f.counted_next,
                 &f.remaining_p,
@@ -442,10 +460,9 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> TopKCtx<'_, O, T> {
             f.remaining_n.remove(r);
             debug_assert!(!f.counted_next.contains(r));
             f.counted_next.insert(r);
-            node.child_into(r as RowId, &mut f.child);
             self.visit(
                 scratch,
-                &f.child,
+                &f.node,
                 Some(r as RowId),
                 &f.counted_next,
                 &f.remaining_p,
@@ -465,7 +482,7 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> TopKCtx<'_, O, T> {
                 support_set.insert(self.order[r] as usize);
             }
             let group = TopKGroup {
-                upper: IdList::from_iter(node.items().iter().copied()),
+                upper: IdList::from_iter(f.node.items().iter().copied()),
                 support_set,
                 sup: sup_p,
                 neg_sup: sup_n,

@@ -10,7 +10,9 @@
 //!    buffers allocate exactly nothing;
 //! 2. a whole-run budget: a full mine allocates orders of magnitude
 //!    fewer times than it visits nodes (setup, frame warm-up, and
-//!    per-emission costs only).
+//!    per-emission costs only);
+//! 3. a MineLB budget: turning lower bounds on adds at most 6
+//!    allocations per accepted group.
 //!
 //! The binary is `harness = false` (see `Cargo.toml`): the libtest
 //! harness spawns threads of its own that occasionally allocate while a
@@ -18,7 +20,7 @@
 //! process-global counter to see *only* the hot path. A plain `main`
 //! keeps the whole process single-threaded and the measurement exact.
 
-use farmer_core::cond::{BitsetNode, Inspect};
+use farmer_core::cond::{BitsetNode, Inspect, Table};
 use farmer_core::{Farmer, MineControl, MiningParams, NoOpObserver, NoopTracer};
 use farmer_dataset::discretize::Discretizer;
 use farmer_dataset::synth::SynthConfig;
@@ -82,7 +84,8 @@ fn hot_path_is_allocation_free_once_warm() {
 
     // ---- micro-probe: warm the buffers once, then demand exact zero
     // across many scan + descend steps
-    let root = BitsetNode::root(&d);
+    let table = Table::new(&d);
+    let root = BitsetNode::root(&table);
     let mut ins = Inspect::new(n);
     let mut child = root.clone_shell();
     root.inspect_into(&e_p, &e_n, &mut ins);
@@ -125,6 +128,27 @@ fn hot_path_is_allocation_free_once_warm() {
     println!(
         "whole-run mine: {allocs} allocations for {} nodes (budget {budget})",
         r.stats.nodes_visited
+    );
+
+    // ---- MineLB: the same mine with lower bounds on. The extra
+    // allocations are MineLB's — its scratch buffer and the lower-bound
+    // lists it returns — and must stay a small constant per group.
+    let farmer = Farmer::new(MiningParams::new(1).min_sup(2).lower_bounds(true));
+    let before = allocation_count();
+    let with_lb = farmer.mine(&d);
+    let extra = (allocation_count() - before).saturating_sub(allocs);
+    assert_eq!(with_lb.len(), r.len(), "lower bounds changed the groups");
+    let groups = with_lb.len() as u64;
+    assert!(groups > 0, "workload yields no groups");
+    assert!(
+        extra <= 6 * groups,
+        "MineLB made {extra} allocations for {groups} groups (budget {}) — \
+         more than 6 per group",
+        6 * groups
+    );
+    println!(
+        "lower bounds on: {extra} more allocations for {groups} groups ({:.1} per group)",
+        extra as f64 / groups as f64
     );
 }
 

@@ -4,7 +4,7 @@
 
 use farmer_core::carpenter::carpenter;
 use farmer_core::cobbler::{cobbler, SwitchPolicy};
-use farmer_core::cond::{BitsetNode, Inspect};
+use farmer_core::cond::{BitsetNode, Inspect, Table};
 use farmer_core::minelb::mine_lower_bounds;
 use farmer_core::naive::{
     child_items, enumerate_rule_groups, mine_naive, naive_lower_bounds, node_scan,
@@ -24,10 +24,20 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
 /// Two-class datasets with a row count from `rows` and an item
 /// universe size from `items`.
 fn arb_dataset_of(rows: Range<usize>, items: Range<usize>) -> impl Strategy<Value = Dataset> {
-    (rows, items).prop_flat_map(|(n_rows, n_items)| {
+    arb_dataset_with(rows, items, |n_items| 1..n_items)
+}
+
+/// [`arb_dataset_of`] with each row's item count drawn from
+/// `row_len(n_items)`.
+fn arb_dataset_with(
+    rows: Range<usize>,
+    items: Range<usize>,
+    row_len: fn(usize) -> Range<usize>,
+) -> impl Strategy<Value = Dataset> {
+    (rows, items).prop_flat_map(move |(n_rows, n_items)| {
         collection::vec(
             (
-                collection::btree_set(0..n_items as u32, 1..n_items),
+                collection::btree_set(0..n_items as u32, row_len(n_items)),
                 0u32..2,
             ),
             n_rows,
@@ -109,7 +119,8 @@ fn check_scans_from_root(d: &Dataset, class: u32) {
     let n = reordered.n_rows();
     let m = reordered.class_count(class);
     let mut dirty = Inspect::new(n);
-    let root = BitsetNode::root(&reordered);
+    let table = Table::new(&reordered);
+    let root = BitsetNode::root(&table);
     // soil the buffer with a swapped-role scan before the first check
     root.inspect_into(
         &RowSet::from_ids(n, m..n),
@@ -352,11 +363,13 @@ check! {
         check_scans_from_root(&d, class);
     }
 
-    /// The same check on 60–70 rows, so every row set spans two words
-    /// and the scans cross the word boundary at row 64.
+    /// The same check on 60–70 sparse rows of at most 11 items over a
+    /// 130–140 item universe, so every row set spans two words (the
+    /// scans cross row 64) and every row's item bitmap spans three (the
+    /// child filter crosses items 64 and 128).
     #[test]
     fn node_scans_match_their_definition_across_words(
-        d in arb_dataset_of(60..70, 3..8),
+        d in arb_dataset_with(60..70, 130..140, |_| 1..12),
         class in 0u32..2,
     ) {
         check_scans_from_root(&d, class);

@@ -81,16 +81,6 @@ impl Dataset {
         &self.item_rows[item as usize]
     }
 
-    /// All per-item row sets, indexed by item id: `item_row_sets()[i]` is
-    /// `R({i})`. This is the transposed table `TT` of the paper: the
-    /// miner's conditional tables borrow this slice directly as their
-    /// tuple store, so enumeration shares the dataset's columns instead
-    /// of copying them.
-    #[inline]
-    pub fn item_row_sets(&self) -> &[RowSet] {
-        &self.item_rows
-    }
-
     /// Support of a single item: `|R({item})|`.
     #[inline]
     pub fn item_support(&self, item: ItemId) -> usize {

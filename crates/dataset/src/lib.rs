@@ -4,9 +4,10 @@
 //! level:
 //!
 //! * [`Dataset`] — a discretized, class-labeled transactional table with
-//!   *few rows and many items*, the shape FARMER is designed for. Its
-//!   item-major view ([`Dataset::item_row_sets`], one row bitset per
-//!   item) is the transposed table that FARMER's row enumeration scans;
+//!   *few rows and many items*, the shape FARMER is designed for. It
+//!   keeps each row's items and, inverted, each item's row bitset
+//!   ([`Dataset::item_rows`]), from which the miners build the
+//!   transposed table their row enumeration scans;
 //! * [`ExpressionMatrix`] — the raw real-valued gene-expression view, plus
 //!   [`discretize`] strategies (equal-depth, equal-width, and the
 //!   Fayyad–Irani entropy/MDL method the paper uses for its classifiers)

@@ -183,16 +183,33 @@ impl RowSet {
     /// (`occur |= t`), and returns `|tuple ∩ e_p|`. Equivalent to — and
     /// property-tested against — the three separate passes, at a third of
     /// the memory traffic. `O(n/64)`.
-    pub fn fused_scan(z: &mut RowSet, occur: &mut RowSet, tuple: &RowSet, e_p: &RowSet) -> usize {
-        z.check(tuple);
-        occur.check(tuple);
-        e_p.check(tuple);
+    ///
+    /// `tuple` is a set of the same capacity given as its words (see
+    /// [`words`](Self::words)), so the caller can keep its tuples packed
+    /// in one flat array. Panics if the word counts differ or `tuple`
+    /// has a bit at or beyond the capacity, which would otherwise leak
+    /// into `occur`.
+    pub fn fused_scan(z: &mut RowSet, occur: &mut RowSet, tuple: &[u64], e_p: &RowSet) -> usize {
+        z.check(occur);
+        z.check(e_p);
+        assert_eq!(
+            tuple.len(),
+            z.words.len(),
+            "tuple word count does not match capacity {}",
+            z.capacity
+        );
+        let tail = z.capacity % BITS;
+        assert!(
+            tail == 0 || tuple.last().is_none_or(|&w| w >> tail == 0),
+            "tuple has bits beyond capacity {}",
+            z.capacity
+        );
         let mut ep_count = 0usize;
         for (((zw, ow), &tw), &ew) in z
             .words
             .iter_mut()
             .zip(occur.words.iter_mut())
-            .zip(&tuple.words)
+            .zip(tuple)
             .zip(&e_p.words)
         {
             *zw &= tw;
@@ -738,6 +755,13 @@ mod tests {
     #[should_panic(expected = "cannot grow")]
     fn grow_rejects_shrinking() {
         RowSet::empty(10).grow(9);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond capacity 10")]
+    fn fused_scan_rejects_bits_beyond_capacity() {
+        let (mut z, mut occur, e_p) = (RowSet::full(10), RowSet::empty(10), RowSet::empty(10));
+        RowSet::fused_scan(&mut z, &mut occur, &[1 << 10], &e_p);
     }
 
     #[test]

@@ -111,7 +111,7 @@ check! {
         let want_z = z.intersection(&tuple);
         let want_occur = occur.union(&tuple);
         let want_count = tuple.intersection_len(&e_p);
-        let got = RowSet::fused_scan(&mut z, &mut occur, &tuple, &e_p);
+        let got = RowSet::fused_scan(&mut z, &mut occur, tuple.words(), &e_p);
         prop_assert_eq!(&z, &want_z);
         prop_assert_eq!(&occur, &want_occur);
         prop_assert_eq!(got, want_count);

@@ -80,7 +80,7 @@ impl<T: Clone + 'static> Tree<T> {
     }
 
     /// Maps the whole tree through `f`, preserving shrink structure.
-    pub fn map<U: Clone + 'static>(&self, f: Rc<dyn Fn(&T) -> U>) -> Tree<U> {
+    pub fn map<U: Clone + 'static>(&self, f: MapFn<T, U>) -> Tree<U> {
         let value = f(&self.value);
         let kids = self.children.clone();
         let f2 = f.clone();
@@ -90,6 +90,9 @@ impl<T: Clone + 'static> Tree<T> {
         }
     }
 }
+
+/// A shared mapping closure, as [`Tree::map`] takes it.
+pub type MapFn<T, U> = Rc<dyn Fn(&T) -> U>;
 
 /// Greedy shrink: repeatedly step to the first failing child until no
 /// candidate fails or `max_steps` trial executions are spent. Returns
@@ -276,7 +279,7 @@ where
     type Value = U;
     fn tree(&self, rng: &mut StdRng) -> Tree<U> {
         let f = self.f.clone();
-        let g: Rc<dyn Fn(&S::Value) -> U> = Rc::new(move |v| f(v.clone()));
+        let g: MapFn<S::Value, U> = Rc::new(move |v| f(v.clone()));
         self.inner.tree(rng).map(g)
     }
 }
@@ -787,17 +790,17 @@ pub mod prelude {
 /// farmer_support::check! {
 ///     #![config(cases = 64)]
 ///
-///     #[test]
 ///     fn addition_commutes(a in 0u32..1000, b in 0u32..1000) {
 ///         farmer_support::prop_assert_eq!(a + b, b + a);
 ///     }
 /// }
+/// addition_commutes();
 /// ```
 ///
-/// Each item becomes a plain `#[test]` function running
-/// [`check::run`](crate::check::run) over the tuple of strategies. An
-/// optional leading `#![config(cases = N)]` sets the case budget for
-/// every property in the block.
+/// Each item becomes a function, keeping its attributes (in test files,
+/// `#[test]`), that runs [`check::run`](crate::check::run) over the
+/// tuple of strategies. An optional leading `#![config(cases = N)]`
+/// sets the case budget for every property in the block.
 #[macro_export]
 macro_rules! check {
     (#![config(cases = $n:expr)] $($rest:tt)*) => {

@@ -28,14 +28,16 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
-impl Json {
-    /// Compact single-line serialization.
-    pub fn to_string(&self) -> String {
+/// Compact single-line serialization (`to_string()` comes with it).
+impl std::fmt::Display for Json {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let mut out = String::new();
         self.write(&mut out, None, 0);
-        out
+        f.write_str(&out)
     }
+}
 
+impl Json {
     /// Multi-line serialization indented by two spaces per level.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
@@ -306,13 +308,13 @@ fn write_seq(
         }
         if let Some(w) = indent {
             out.push('\n');
-            out.extend(std::iter::repeat(' ').take(w * (depth + 1)));
+            out.extend(std::iter::repeat_n(' ', w * (depth + 1)));
         }
         item(out, i);
     }
     if let Some(w) = indent {
         out.push('\n');
-        out.extend(std::iter::repeat(' ').take(w * depth));
+        out.extend(std::iter::repeat_n(' ', w * depth));
     }
     out.push(close);
 }

@@ -166,7 +166,7 @@ mod tests {
 
     #[test]
     fn scope_joins_and_returns() {
-        let data = vec![1u32, 2, 3, 4];
+        let data = [1u32, 2, 3, 4];
         let total: u32 = scope(|s| {
             let handles: Vec<_> = data
                 .chunks(2)

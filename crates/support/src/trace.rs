@@ -1046,7 +1046,7 @@ mod tests {
         }
         let lane_sum: i64 = r.lane_gauges.iter().map(|l| l[0]).sum();
         assert_eq!(r.gauges[0], lane_sum);
-        assert_eq!(r.counters, vec![30, 0 + 1 + 2]);
+        assert_eq!(r.counters, vec![30, 1 + 2]);
         assert_eq!(r.gauges, vec![30 - 27]);
         // out-of-range ids are ignored, not panics
         t.add(0, CounterId(99), 1);

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Full offline verification: build, test, format check, bench smoke.
+# Full offline verification: build, test, format and lint checks, bench smoke.
 # The workspace is hermetic (no external crates), so everything below
 # runs with --offline on a machine that has never touched crates.io.
 set -euo pipefail
@@ -211,6 +211,9 @@ cargo test -q --offline --release --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo fmt --check"
 cargo fmt --check
+
+echo "==> cargo clippy (every target; warnings are errors)"
+cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> bench smoke (1 sample, substrates + serving)"
 FARMER_BENCH_SAMPLES=1 cargo bench --offline -p farmer-bench --bench substrates

@@ -8,7 +8,7 @@ use farmer_suite::baselines::column_e::column_e;
 use farmer_suite::classify::pipeline::DiscretizedSplit;
 use farmer_suite::classify::{CbaClassifier, IrgClassifier, SvmClassifier, SvmConfig};
 use farmer_suite::core::carpenter::carpenter;
-use farmer_suite::core::cond::BitsetNode;
+use farmer_suite::core::cond::{BitsetNode, Table};
 use farmer_suite::core::naive::{child_items, node_scan};
 use farmer_suite::core::{Farmer, MiningParams};
 use farmer_suite::dataset::discretize::Discretizer;
@@ -85,7 +85,8 @@ fn node_scans_match_their_definition_on_realistic_data() {
     // the search's view: class-1 rows first (ORD), all rows candidates
     let (d, _order) = small_analog().reordered_for_class(1);
     let (n, m) = (d.n_rows(), d.class_count(1));
-    let root = BitsetNode::root(&d);
+    let table = Table::new(&d);
+    let root = BitsetNode::root(&table);
     let e_p = RowSet::from_ids(n, 0..m);
     let e_n = RowSet::from_ids(n, m..n);
     // the root and every depth-1 and depth-2 child

@@ -27,7 +27,7 @@ fn full_scale_breast_cancer_analog() {
     let result = Farmer::new(MiningParams::new(1).min_sup(9).lower_bounds(false)).mine(&data);
     assert!(!result.stats.budget_exhausted);
     assert!(
-        result.len() > 0,
+        !result.is_empty(),
         "paper-scale BC at minsup 9 must yield IRGs"
     );
 
@@ -36,5 +36,5 @@ fn full_scale_breast_cancer_analog() {
     assert_eq!(selected.n_genes(), 2000);
     let data2 = Discretizer::EqualDepth { buckets: 10 }.discretize(&selected);
     let result2 = Farmer::new(MiningParams::new(1).min_sup(9).lower_bounds(false)).mine(&data2);
-    assert!(result2.len() > 0);
+    assert!(!result2.is_empty());
 }
