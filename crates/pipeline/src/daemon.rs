@@ -8,18 +8,23 @@
 //!    [`farmer_serve::IngestHook`] impl) or from another process
 //!    appending to the same `.fgd` journal (`farmer ingest`). Either
 //!    way the journal file is the single source of truth; the hook
-//!    only validates and appends.
-//! 2. **Remine** — the loop polls the journal. When it grows, the
-//!    daemon waits for a quiet window of `debounce_ms` (so a burst of
-//!    arrivals coalesces into one remine — single-flight by
-//!    construction, there is only the one thread), then feeds every
-//!    unapplied record to the miner's delta-restricted search.
+//!    only validates and appends, then wakes the loop.
+//! 2. **Remine** — the loop tails the journal from the byte offset
+//!    past the last record it took, when an in-process ingest wakes
+//!    it and on a poll that finds other processes' appends. Once the
+//!    journal has been quiet for `debounce_ms` after the last append
+//!    the loop saw (so a burst of arrivals coalesces into one remine —
+//!    single-flight by construction, there is only the one thread), it
+//!    feeds every record taken since the last remine to the miner's
+//!    delta-restricted search.
 //! 3. **Publish** — the refreshed groups are written with
 //!    [`farmer_store::publish_artifact`] (temp file → fsync → atomic
-//!    rename), the generation counter bumps, and the configured
-//!    [`Notify`] target is told: an in-process
-//!    [`ArtifactHandle::reload`] for `serve --watch`, or an
-//!    authenticated `POST /v1/admin/reload` for a remote server.
+//!    rename → directory fsync), the generation counter bumps, and the
+//!    configured [`Notify`] target is told: for `serve --watch`, the
+//!    in-process [`ArtifactHandle`] is handed the same groups
+//!    ([`ArtifactHandle::install`], no read-back of the file just
+//!    written); for a remote server, an authenticated
+//!    `POST /v1/admin/reload`.
 //!
 //! Failures never wedge the loop: a publish or notify error is
 //! counted and surfaced in [`PipelineHandle::stats`] /
@@ -31,21 +36,25 @@ use farmer_core::MiningParams;
 use farmer_dataset::Dataset;
 use farmer_serve::{http_post, ArtifactHandle, IngestHook, IngestRow};
 use farmer_store::{
-    dataset_fingerprint, publish_artifact, read_journal, ArtifactMeta, JournalWriter, VERSION,
+    dataset_fingerprint, publish_artifact, read_journal_from, Artifact, ArtifactMeta,
+    JournalWriter, JOURNAL_HEADER_LEN, VERSION,
 };
 use farmer_support::json::{Json, ObjBuilder};
 use farmer_support::thread::Mutex;
 use rowset::IdList;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Who to tell after an artifact publish lands.
 pub enum Notify {
     /// Nobody — consumers poll the artifact path themselves.
     None,
-    /// Swap a server in this process (`serve --watch`).
+    /// Swap a server in this process (`serve --watch`): after each
+    /// publish it is handed the published groups
+    /// ([`ArtifactHandle::install`]), so it must serve the artifact
+    /// path the pipeline publishes.
     InProcess(Arc<ArtifactHandle>),
     /// `POST /v1/admin/reload` on a remote server (`mine --watch
     /// --notify-url`).
@@ -73,12 +82,12 @@ pub struct PipelineConfig {
     pub classes: Option<Vec<u32>>,
     /// Worker threads per mine (0 = sequential).
     pub threads: usize,
-    /// Quiet window after the last journal growth before a remine
-    /// starts; coalesces arrival bursts.
+    /// Quiet window: a remine starts once `debounce_ms` have passed
+    /// since the last journal append the daemon saw, so a burst of
+    /// arrivals coalesces into one remine. In-process ingests are seen
+    /// at once; appends by other processes are found by a journal poll
+    /// every `(debounce_ms / 4).clamp(10, 250)` ms.
     pub debounce_ms: u64,
-    /// Journal poll cadence. 0 picks a default derived from the
-    /// debounce window.
-    pub poll_ms: u64,
     /// Publish notification target.
     pub notify: Notify,
 }
@@ -95,18 +104,48 @@ impl PipelineConfig {
             classes: None,
             threads: 0,
             debounce_ms: 200,
-            poll_ms: 0,
             notify: Notify::None,
         }
     }
 
-    fn effective_poll(&self) -> Duration {
-        let ms = if self.poll_ms > 0 {
-            self.poll_ms
-        } else {
-            (self.debounce_ms / 4).clamp(10, 250)
-        };
-        Duration::from_millis(ms)
+    /// How often the loop looks for appends nobody woke it for: those
+    /// of other processes.
+    fn poll(&self) -> Duration {
+        Duration::from_millis((self.debounce_ms / 4).clamp(10, 250))
+    }
+}
+
+/// Wakes the remine loop before its poll timeout: set by an in-process
+/// append and by shutdown.
+#[derive(Default)]
+struct Wake {
+    state: Mutex<WakeState>,
+    cv: Condvar,
+}
+
+#[derive(Default)]
+struct WakeState {
+    /// An in-process append landed since the loop last woke.
+    appended: bool,
+    stop: bool,
+}
+
+impl Wake {
+    fn signal(&self, set: impl FnOnce(&mut WakeState)) {
+        set(&mut self.state.lock());
+        self.cv.notify_one();
+    }
+
+    /// Waits until an append or a stop is signalled or `timeout`
+    /// passes, consumes the append signal, and returns whether the loop
+    /// must stop.
+    fn wait(&self, timeout: Duration) -> bool {
+        let (mut state, _) = self
+            .cv
+            .wait_timeout_while(self.state.lock(), timeout, |s| !s.appended && !s.stop)
+            .unwrap_or_else(PoisonError::into_inner);
+        state.appended = false;
+        state.stop
     }
 }
 
@@ -127,8 +166,11 @@ pub struct PipelineHandle {
     publish_failures: AtomicU64,
     /// Successful publishes since start — the artifact generation.
     generation: AtomicU64,
+    /// Journal record bytes the daemon has read, backlog included.
+    journal_bytes_read: AtomicU64,
     last_error: Mutex<Option<String>>,
     notify: Mutex<Notify>,
+    wake: Wake,
 }
 
 impl PipelineHandle {
@@ -194,6 +236,7 @@ impl IngestHook for PipelineHandle {
         }
         w.sync().map_err(|e| e.to_string())?;
         drop(w);
+        self.wake.signal(|s| s.appended = true);
         self.ingested_rows
             .fetch_add(rows.len() as u64, Ordering::Relaxed);
         self.activity.fetch_add(1, Ordering::Relaxed);
@@ -229,6 +272,10 @@ impl IngestHook for PipelineHandle {
                 "publish_failures",
                 self.publish_failures.load(Ordering::Relaxed) as i64,
             )
+            .field(
+                "journal_bytes_read",
+                self.journal_bytes_read.load(Ordering::Relaxed) as i64,
+            )
             .field("last_error", last_error)
             .build()
     }
@@ -254,6 +301,10 @@ impl IngestHook for PipelineHandle {
             "publish_failures_total",
             self.publish_failures.load(Ordering::Relaxed),
         ));
+        out.push_str(&counter(
+            "journal_bytes_read_total",
+            self.journal_bytes_read.load(Ordering::Relaxed),
+        ));
         out.push_str(&format!(
             "# TYPE farmer_pipeline_generation gauge\nfarmer_pipeline_generation {}\n",
             self.generation.load(Ordering::Relaxed)
@@ -266,7 +317,6 @@ impl IngestHook for PipelineHandle {
 /// [`shutdown`](Self::shutdown)) stops the loop and joins the thread.
 pub struct Pipeline {
     handle: Arc<PipelineHandle>,
-    stop: Arc<AtomicBool>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -278,7 +328,9 @@ impl Pipeline {
         let fingerprint = dataset_fingerprint(&base);
         let writer =
             JournalWriter::open_append(&config.journal, fingerprint).map_err(|e| e.to_string())?;
-        let journal = read_journal(&config.journal).map_err(|e| e.to_string())?;
+        let journal = read_journal_from(&config.journal, JOURNAL_HEADER_LEN as u64)
+            .map_err(|e| e.to_string())?;
+        let offset = journal.end;
         let backlog: Vec<(IdList, u32)> = journal
             .records
             .into_iter()
@@ -297,8 +349,10 @@ impl Pipeline {
             publishes: AtomicU64::new(0),
             publish_failures: AtomicU64::new(0),
             generation: AtomicU64::new(0),
+            journal_bytes_read: AtomicU64::new(journal.bytes_read),
             last_error: Mutex::new(None),
             notify: Mutex::new(std::mem::replace(&mut config.notify, Notify::None)),
+            wake: Wake::default(),
         });
 
         let classes = config
@@ -321,18 +375,15 @@ impl Pipeline {
             publish(&mut miner, &config, &handle);
         }
 
-        let stop = Arc::new(AtomicBool::new(false));
         let thread = {
             let handle = Arc::clone(&handle);
-            let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name("farmer-pipeline".into())
-                .spawn(move || run_loop(miner, config, handle, stop, applied))
+                .spawn(move || run_loop(miner, config, handle, offset))
                 .map_err(|e| format!("spawning pipeline thread: {e}"))?
         };
         Ok(Pipeline {
             handle,
-            stop,
             thread: Some(thread),
         })
     }
@@ -345,7 +396,7 @@ impl Pipeline {
 
     /// Stops the loop and joins the daemon thread. Idempotent.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.handle.wake.signal(|s| s.stop = true);
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -362,61 +413,56 @@ fn run_loop(
     mut miner: IncrementalMiner,
     config: PipelineConfig,
     handle: Arc<PipelineHandle>,
-    stop: Arc<AtomicBool>,
-    mut applied: usize,
+    mut offset: u64,
 ) {
-    let poll = config.effective_poll();
+    let poll = config.poll();
     let debounce = Duration::from_millis(config.debounce_ms);
-    while !stop.load(Ordering::Relaxed) {
-        std::thread::sleep(poll);
-        let journal = match read_journal(&config.journal) {
-            Ok(j) => j,
-            Err(e) => {
-                handle.record_error(format!("journal read: {e}"));
+    let mut delta: Vec<(IdList, u32)> = Vec::new();
+    // When the loop last saw the journal grow; `Some` while a quiet
+    // window is open, i.e. while `delta` waits for its remine.
+    let mut grew_at: Option<Instant> = None;
+    loop {
+        let timeout = match grew_at {
+            Some(t) => poll.min((t + debounce).saturating_duration_since(Instant::now())),
+            None => poll,
+        };
+        if handle.wake.wait(timeout) {
+            return;
+        }
+        match read_journal_from(&config.journal, offset) {
+            Ok(tail) => {
+                handle
+                    .journal_bytes_read
+                    .fetch_add(tail.bytes_read, Ordering::Relaxed);
+                if !tail.records.is_empty() {
+                    delta.extend(tail.records.into_iter().map(|r| (r.items, r.label)));
+                    offset = tail.end;
+                    grew_at = Some(Instant::now());
+                }
+            }
+            Err(e) => handle.record_error(format!("journal read: {e}")),
+        }
+        // The window closes `debounce` after the last growth seen; then
+        // everything taken by now goes into one remine (single-flight).
+        if grew_at.is_some_and(|t| t.elapsed() >= debounce) {
+            grew_at = None;
+            let delta = std::mem::take(&mut delta);
+            if let Err(e) = miner.apply_rows(&delta) {
+                // A poison row would otherwise hot-loop; skip past it
+                // and surface the error instead.
+                let n = delta.len();
+                handle.record_error(format!("remine skipped {n} journal rows: {e}"));
                 continue;
             }
-        };
-        if journal.records.len() <= applied {
-            continue;
+            handle.remines.fetch_add(1, Ordering::Relaxed);
+            handle
+                .applied_rows
+                .fetch_add(delta.len() as u64, Ordering::Relaxed);
+            handle
+                .current_rows
+                .store(miner.n_rows() as u64, Ordering::Relaxed);
+            publish(&mut miner, &config, &handle);
         }
-        // Debounce: wait for a quiet window so a burst coalesces into
-        // one remine, then take *everything* queued by the time the
-        // window closes (single-flight).
-        let mut latest = journal;
-        let mut quiet_since = Instant::now();
-        while quiet_since.elapsed() < debounce && !stop.load(Ordering::Relaxed) {
-            std::thread::sleep(poll.min(debounce));
-            match read_journal(&config.journal) {
-                Ok(j) if j.records.len() > latest.records.len() => {
-                    latest = j;
-                    quiet_since = Instant::now();
-                }
-                Ok(_) => {}
-                Err(e) => handle.record_error(format!("journal read: {e}")),
-            }
-        }
-        if stop.load(Ordering::Relaxed) {
-            break;
-        }
-        let delta: Vec<(IdList, u32)> = latest.records[applied..]
-            .iter()
-            .map(|r| (r.items.clone(), r.label))
-            .collect();
-        let n_new = delta.len();
-        if let Err(e) = miner.apply_rows(&delta) {
-            // A poison row would otherwise hot-loop; skip past it and
-            // surface the error instead.
-            handle.record_error(format!("remine skipped {n_new} journal rows: {e}"));
-            applied = latest.records.len();
-            continue;
-        }
-        applied = latest.records.len();
-        handle.remines.fetch_add(1, Ordering::Relaxed);
-        handle.applied_rows.store(applied as u64, Ordering::Relaxed);
-        handle
-            .current_rows
-            .store(miner.n_rows() as u64, Ordering::Relaxed);
-        publish(&mut miner, &config, &handle);
     }
 }
 
@@ -427,25 +473,22 @@ fn run_loop(
 fn publish(miner: &mut IncrementalMiner, config: &PipelineConfig, handle: &PipelineHandle) {
     let groups = miner.groups();
     let meta = ArtifactMeta::from_dataset(miner.data());
-    match publish_artifact(&config.artifact, &meta, &groups, VERSION) {
-        Ok(_) => {
-            handle.publishes.fetch_add(1, Ordering::Relaxed);
-            handle.generation.fetch_add(1, Ordering::Relaxed);
-            handle.activity.fetch_add(1, Ordering::Relaxed);
-        }
-        Err(e) => {
-            handle.publish_failures.fetch_add(1, Ordering::Relaxed);
-            handle.record_error(format!("publish: {e}"));
-            return;
-        }
+    if let Err(e) = publish_artifact(&config.artifact, &meta, &groups, VERSION) {
+        handle.publish_failures.fetch_add(1, Ordering::Relaxed);
+        handle.record_error(format!("publish: {e}"));
+        return;
     }
+    handle.publishes.fetch_add(1, Ordering::Relaxed);
+    handle.generation.fetch_add(1, Ordering::Relaxed);
+    handle.activity.fetch_add(1, Ordering::Relaxed);
     let notify = handle.notify.lock();
     match &*notify {
         Notify::None => {}
+        // The publish has landed, so serving these groups cannot run
+        // ahead of the artifact on disk; reading it back would only
+        // decode what is already in hand.
         Notify::InProcess(h) => {
-            if let Err(e) = h.reload() {
-                handle.record_error(format!("in-process reload: {e}"));
-            }
+            h.install(Artifact { meta, groups }, VERSION);
         }
         Notify::Remote { addr, token } => {
             match http_post(addr, "/v1/admin/reload", "{}", token.as_deref()) {
@@ -463,7 +506,8 @@ fn publish(miner: &mut IncrementalMiner, config: &PipelineConfig, handle: &Pipel
 #[cfg(test)]
 mod tests {
     use super::*;
-    use farmer_store::Artifact;
+    use farmer_core::dump_groups;
+    use farmer_store::read_journal;
 
     fn base() -> Dataset {
         farmer_dataset::paper_example()
@@ -606,6 +650,181 @@ mod tests {
             "ingest+publish must move the liveness counter"
         );
         assert!(h.last_error().is_none(), "{:?}", h.last_error());
+        p.shutdown();
+        let _ = std::fs::remove_file(&journal);
+        let _ = std::fs::remove_file(&artifact);
+    }
+
+    /// Journal and artifact paths for one test, cleared of leftovers.
+    fn paths(name: &str) -> (PathBuf, PathBuf) {
+        let (journal, artifact) = (tmp(&format!("{name}.fgd")), tmp(&format!("{name}.fgi")));
+        let _ = std::fs::remove_file(&journal);
+        let _ = std::fs::remove_file(&artifact);
+        (journal, artifact)
+    }
+
+    /// Starts a pipeline that publishes the base groups, then points
+    /// it at a server handle loaded from that artifact, the way
+    /// `serve --watch` wires itself.
+    fn serving(
+        journal: &PathBuf,
+        artifact: &PathBuf,
+        debounce_ms: u64,
+    ) -> (Pipeline, Arc<ArtifactHandle>) {
+        let mut cfg = PipelineConfig::new(journal, artifact);
+        cfg.debounce_ms = debounce_ms;
+        let p = Pipeline::start(base(), cfg).unwrap();
+        let server = Arc::new(ArtifactHandle::load(artifact, 0.8, 0).unwrap());
+        p.handle()
+            .set_notify(Notify::InProcess(Arc::clone(&server)));
+        (p, server)
+    }
+
+    #[test]
+    fn idle_polls_read_no_journal_bytes_twice() {
+        let (journal, artifact) = paths("tail");
+        let mut cfg = PipelineConfig::new(&journal, &artifact);
+        cfg.debounce_ms = 40;
+        let poll = cfg.poll();
+        let mut p = Pipeline::start(base(), cfg).unwrap();
+        let h = p.handle();
+        let rows = [(vec![0, 3], 1), (vec![1, 2, 5], 0), (vec![4], 1)];
+        for (k, row) in rows.iter().enumerate() {
+            h.ingest(std::slice::from_ref(row)).unwrap();
+            wait_for("row applied", || h.applied_rows() == k as u64 + 1);
+        }
+        std::thread::sleep(poll * 10);
+        let record_bytes = std::fs::metadata(&journal).unwrap().len() - JOURNAL_HEADER_LEN as u64;
+        let metrics = h.metrics_text();
+        assert!(
+            metrics.contains(&format!(
+                "farmer_pipeline_journal_bytes_read_total {record_bytes}\n"
+            )),
+            "expected {record_bytes} record bytes read:\n{metrics}"
+        );
+        assert!(h.last_error().is_none(), "{:?}", h.last_error());
+        p.shutdown();
+        let _ = std::fs::remove_file(&journal);
+        let _ = std::fs::remove_file(&artifact);
+    }
+
+    #[test]
+    fn in_process_publish_serves_what_a_reload_of_the_file_would() {
+        let (journal, artifact) = paths("install");
+        let (mut p, server) = serving(&journal, &artifact, 30);
+        let h = p.handle();
+        let attempts = server.reload_attempts();
+        let rows = vec![(vec![0, 3, 5], 1), (vec![1, 2], 0)];
+        h.ingest(&rows).unwrap();
+        wait_for("in-process swap", || server.epoch() >= 1);
+        assert!(h.last_error().is_none(), "{:?}", h.last_error());
+        assert_eq!(server.artifact_version(), VERSION);
+        assert_eq!(server.reload_attempts(), attempts + 1);
+
+        let served = server.current();
+        let from_file = ArtifactHandle::load(&artifact, 0.8, 0).unwrap().current();
+        assert_eq!(
+            dump_groups(served.groups()),
+            dump_groups(from_file.groups())
+        );
+        assert_eq!(served.meta(), from_file.meta());
+        let appended: Vec<(IdList, u32)> = rows
+            .into_iter()
+            .map(|(items, label)| (IdList::from_sorted(items), label))
+            .collect();
+        let merged = base().appended(&appended).unwrap();
+        assert_eq!(served.meta().n_rows, merged.n_rows() as u64);
+        for r in 0..merged.n_rows() as u32 {
+            let sample = merged.row(r);
+            assert_eq!(
+                served.classify(sample),
+                from_file.classify(sample),
+                "row {r}"
+            );
+            assert_eq!(served.matches(sample), from_file.matches(sample), "row {r}");
+        }
+        p.shutdown();
+        let _ = std::fs::remove_file(&journal);
+        let _ = std::fs::remove_file(&artifact);
+    }
+
+    #[test]
+    fn failed_publish_leaves_the_served_index_alone() {
+        let (journal, artifact) = paths("nopublish");
+        let (mut p, server) = serving(&journal, &artifact, 30);
+        let h = p.handle();
+        let before = dump_groups(server.current().groups());
+        let generation = h.generation();
+        // A directory at the artifact path refuses the publish's rename.
+        std::fs::remove_file(&artifact).unwrap();
+        std::fs::create_dir(&artifact).unwrap();
+        h.ingest(&[(vec![0, 3], 1)]).unwrap();
+        wait_for("publish failure", || {
+            h.publish_failures.load(Ordering::Relaxed) == 1
+        });
+        assert_eq!(server.epoch(), 0);
+        assert_eq!(dump_groups(server.current().groups()), before);
+        assert_eq!(h.generation(), generation);
+        assert_eq!(h.applied_rows(), 1);
+        assert!(
+            h.last_error().is_some_and(|e| e.starts_with("publish:")),
+            "{:?}",
+            h.last_error()
+        );
+        p.shutdown();
+        let _ = std::fs::remove_file(&journal);
+        let _ = std::fs::remove_dir(&artifact);
+    }
+
+    #[test]
+    fn a_burst_inside_the_quiet_window_is_one_remine() {
+        let (journal, artifact) = paths("burst");
+        let mut cfg = PipelineConfig::new(&journal, &artifact);
+        cfg.debounce_ms = 300;
+        let mut p = Pipeline::start(base(), cfg).unwrap();
+        let h = p.handle();
+        let generation = h.generation();
+        for row in [(vec![0, 3], 1), (vec![1, 2], 0), (vec![4, 5], 1)] {
+            h.ingest(&[row]).unwrap();
+        }
+        wait_for("burst applied", || h.applied_rows() == 3);
+        // Another full window: nothing may follow the one remine.
+        std::thread::sleep(Duration::from_millis(400));
+        assert_eq!(h.remines.load(Ordering::Relaxed), 1);
+        assert_eq!(h.generation(), generation + 1);
+        assert_eq!(h.applied_rows(), 3);
+        p.shutdown();
+        let _ = std::fs::remove_file(&journal);
+        let _ = std::fs::remove_file(&artifact);
+    }
+
+    #[test]
+    fn a_poison_row_is_skipped_and_later_rows_still_land() {
+        let (journal, artifact) = paths("poison");
+        let data = base();
+        let mut cfg = PipelineConfig::new(&journal, &artifact);
+        cfg.debounce_ms = 20;
+        let mut p = Pipeline::start(data.clone(), cfg).unwrap();
+        let h = p.handle();
+        // Another process's append that the ingest door would refuse:
+        // an item id past the dataset's dictionary.
+        let mut w = JournalWriter::open_append(&journal, dataset_fingerprint(&data)).unwrap();
+        w.append(&IdList::from_sorted(vec![data.n_items() as u32]), 0)
+            .unwrap();
+        drop(w);
+        wait_for("poison row skipped", || {
+            h.last_error()
+                .is_some_and(|e| e.starts_with("remine skipped 1 journal rows"))
+        });
+        let generation = h.generation();
+        h.ingest(&[(vec![0, 3], 1)]).unwrap();
+        wait_for("good row published", || h.generation() == generation + 1);
+        assert_eq!(h.applied_rows(), 1);
+        assert_eq!(h.remines.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            Artifact::load(&artifact).unwrap().meta.n_rows,
+            data.n_rows() as u64 + 1
+        );
         p.shutdown();
         let _ = std::fs::remove_file(&journal);
         let _ = std::fs::remove_file(&artifact);

@@ -17,20 +17,22 @@
 //!   — see `farmer_store::JournalWriter`), either in-process via the
 //!   [`farmer_serve::IngestHook`] implementation behind
 //!   `POST /v1/admin/ingest`, or from another process running
-//!   `farmer ingest`. A background thread polls the journal,
-//!   debounces bursts, remines, and atomically publishes.
-//! - [`Notify`] — what happens after a publish: swap an in-process
-//!   [`farmer_serve::ArtifactHandle`] (`serve --watch`), hit a remote
-//!   server's `/v1/admin/reload`, or nothing.
+//!   `farmer ingest`. A background thread, woken by in-process
+//!   ingests and polling for other processes' appends, tails the
+//!   journal, debounces bursts, remines, and atomically publishes.
+//! - [`Notify`] — what happens after a publish: hand the published
+//!   groups to an in-process [`farmer_serve::ArtifactHandle`]
+//!   (`serve --watch`), hit a remote server's `/v1/admin/reload`, or
+//!   nothing.
 //!
 //! The flow, end to end:
 //!
 //! ```text
-//! farmer ingest ──▶ rows.fgd ──▶ poll+debounce ──▶ IncrementalMiner
-//! POST /v1/admin/ingest ┘                                │
-//!                                                groups (exact)
-//!                                                        │
-//!        serve ◀── reload ◀── atomic rename ◀── .fgi tmp + fsync
+//! farmer ingest ──▶ rows.fgd ──▶ tail+debounce ──▶ IncrementalMiner
+//! POST /v1/admin/ingest ┘ (+ wake)                        │
+//!                                                 groups (exact)
+//!                                                         │
+//!     serve ◀── install ◀── atomic rename ◀── .fgi tmp + fsync
 //! ```
 
 #![forbid(unsafe_code)]

@@ -4,8 +4,10 @@
 //! The server never holds a [`ShardedIndex`] directly — it holds a
 //! handle, and every request snapshots [`ArtifactHandle::current`]
 //! once (an `Arc` clone) and answers entirely from that snapshot. A
-//! [`reload`](ArtifactHandle::reload) builds the *new* index off to
-//! the side, then swaps the pointer atomically
+//! [`reload`](ArtifactHandle::reload) (or an
+//! [`install`](ArtifactHandle::install) of groups a publisher holds in
+//! memory) builds the *new* index off to the side, then swaps the
+//! pointer atomically
 //! ([`farmer_support::swap::Swap`], which also bumps a monotonically
 //! increasing epoch): requests in flight keep the old `Arc` alive and
 //! complete against the artifact they started on; requests accepted
@@ -47,7 +49,7 @@ impl ArtifactHandle {
     /// the [`ShardedIndex::from_artifact`] default.
     pub fn load(path: impl Into<PathBuf>, theta: f64, n_shards: usize) -> Result<Self, String> {
         let path = path.into();
-        let index = build_index(&path, theta, n_shards)?;
+        let index = build_index(load_artifact(&path)?, theta, n_shards);
         let version = farmer_store::peek_version(&path).unwrap_or(0);
         Ok(ArtifactHandle {
             path: Some(path),
@@ -115,32 +117,53 @@ impl ArtifactHandle {
     /// index keeps serving and the error says why.
     pub fn reload(&self) -> Result<Arc<ShardedIndex>, String> {
         let generation = self.reload_attempts.fetch_add(1, Ordering::Relaxed) + 1;
-        let attempt = || -> Result<Arc<ShardedIndex>, String> {
+        let load = || -> Result<(Artifact, Option<u32>), String> {
             let Some(path) = &self.path else {
                 return Err("reload unavailable: handle has no artifact path".to_string());
             };
-            let index = Arc::new(build_index(path, self.theta, self.n_shards)?);
-            if let Ok(v) = farmer_store::peek_version(path) {
-                self.artifact_version.store(v, Ordering::Relaxed);
-            }
-            self.current.store(Arc::clone(&index));
-            Ok(index)
+            Ok((load_artifact(path)?, farmer_store::peek_version(path).ok()))
         };
-        let result = attempt();
-        if let Err(e) = &result {
-            *self.last_failure.lock() = Some((generation, e.clone()));
+        match load() {
+            Ok((artifact, version)) => Ok(self.swap_in(artifact, version)),
+            Err(e) => {
+                *self.last_failure.lock() = Some((generation, e.clone()));
+                Err(e)
+            }
         }
-        result
+    }
+
+    /// Swaps in an index built from an artifact already in memory, as
+    /// [`reload`](Self::reload) would after reading it from disk: the
+    /// attempt is counted and the served format version becomes
+    /// `version`. A publisher that has just made `artifact` durable at
+    /// [`path`](Self::path) calls this to skip reading back what it
+    /// wrote; it must call it only once the publish has landed, so the
+    /// served index never runs ahead of the file.
+    pub fn install(&self, artifact: Artifact, version: u32) -> Arc<ShardedIndex> {
+        self.reload_attempts.fetch_add(1, Ordering::Relaxed);
+        self.swap_in(artifact, Some(version))
+    }
+
+    fn swap_in(&self, artifact: Artifact, version: Option<u32>) -> Arc<ShardedIndex> {
+        let index = Arc::new(build_index(artifact, self.theta, self.n_shards));
+        if let Some(v) = version {
+            self.artifact_version.store(v, Ordering::Relaxed);
+        }
+        self.current.store(Arc::clone(&index));
+        index
     }
 }
 
-fn build_index(path: &Path, theta: f64, n_shards: usize) -> Result<ShardedIndex, String> {
-    let artifact = Artifact::load(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    Ok(if n_shards == 0 {
+fn load_artifact(path: &Path) -> Result<Artifact, String> {
+    Artifact::load(path).map_err(|e| format!("{}: {e}", path.display()))
+}
+
+fn build_index(artifact: Artifact, theta: f64, n_shards: usize) -> ShardedIndex {
+    if n_shards == 0 {
         ShardedIndex::from_artifact(artifact)
     } else {
         ShardedIndex::build(artifact, theta, n_shards)
-    })
+    }
 }
 
 #[cfg(test)]

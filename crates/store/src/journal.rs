@@ -39,9 +39,10 @@
 //! a whole frame, because a writer died mid-append — is expected under
 //! crash-append semantics: [`read_journal`] stops there and reports it
 //! via [`Journal::torn_tail`]; [`JournalWriter::open_append`] truncates
-//! it so the next append lands on a clean boundary. A **checksum
-//! mismatch on a complete frame** is real corruption and always an
-//! error.
+//! it so the next append lands on a clean boundary; [`read_journal_from`]
+//! leaves it unread, since to a reader following a live journal it is a
+//! frame still being written. A **checksum mismatch on a complete
+//! frame** is real corruption and always an error.
 //!
 //! The header's fingerprint binds the journal to one base dataset
 //! ([`dataset_fingerprint`] hashes the shape and both dictionaries), so
@@ -54,7 +55,7 @@ use farmer_support::hash::{fnv1a, Fnv1a};
 use farmer_support::varint;
 use rowset::IdList;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 /// The four magic bytes opening every `.fgd` journal.
@@ -146,9 +147,9 @@ fn encode_record_payload(items: &IdList, label: u32) -> Result<Vec<u8>> {
     Ok(payload)
 }
 
-/// Parses one record payload. `what` labels errors with the record's
-/// position in the file.
-fn decode_record_payload(payload: &[u8], what: &str) -> Result<JournalRecord> {
+/// Parses one record payload. `at` is the frame's byte offset in the
+/// file, named in errors.
+fn decode_record_payload(payload: &[u8], at: u64) -> Result<JournalRecord> {
     let mut pos = 0usize;
     let mut next = |field: &str| -> Result<u64> {
         match varint::read_u64(&payload[pos..]) {
@@ -157,20 +158,20 @@ fn decode_record_payload(payload: &[u8], what: &str) -> Result<JournalRecord> {
                 Ok(v)
             }
             None => Err(StoreError::corrupt(format!(
-                "{what}: invalid varint in {field} at payload offset {pos}"
+                "journal record at byte {at}: invalid varint in {field} at payload offset {pos}"
             ))),
         }
     };
     let label = next("label")?;
     if label > u32::MAX as u64 {
         return Err(StoreError::corrupt(format!(
-            "{what}: class label {label} exceeds u32"
+            "journal record at byte {at}: class label {label} exceeds u32"
         )));
     }
     let n = next("item count")?;
     if n > payload.len() as u64 {
         return Err(StoreError::corrupt(format!(
-            "{what}: item count {n} larger than the {}-byte payload",
+            "journal record at byte {at}: item count {n} larger than the {}-byte payload",
             payload.len()
         )));
     }
@@ -181,7 +182,7 @@ fn decode_record_payload(payload: &[u8], what: &str) -> Result<JournalRecord> {
         let id = if i == 0 { delta } else { prev + 1 + delta };
         if id > u32::MAX as u64 {
             return Err(StoreError::corrupt(format!(
-                "{what}: item id {id} exceeds u32"
+                "journal record at byte {at}: item id {id} exceeds u32"
             )));
         }
         ids.push(id as u32);
@@ -189,7 +190,7 @@ fn decode_record_payload(payload: &[u8], what: &str) -> Result<JournalRecord> {
     }
     if pos != payload.len() {
         return Err(StoreError::corrupt(format!(
-            "{what}: {} bytes left over after the item ids",
+            "journal record at byte {at}: {} bytes left over after the item ids",
             payload.len() - pos
         )));
     }
@@ -199,12 +200,12 @@ fn decode_record_payload(payload: &[u8], what: &str) -> Result<JournalRecord> {
     })
 }
 
-/// Scans `bytes` (header already stripped) for complete records.
-/// Returns the parsed records, the byte offset just past the last
-/// complete record (relative to the start of `bytes`), and whether a
-/// torn tail follows. Checksum mismatches on *complete* frames are
-/// errors; an incomplete trailing frame is not.
-fn scan_records(bytes: &[u8]) -> Result<(Vec<JournalRecord>, usize, bool)> {
+/// Scans `bytes`, which start on a record boundary at file offset
+/// `base`, for complete records. Returns the parsed records, the byte
+/// offset just past the last complete record (relative to the start of
+/// `bytes`), and whether a torn tail follows. Checksum mismatches on
+/// *complete* frames are errors; an incomplete trailing frame is not.
+fn scan_records(bytes: &[u8], base: u64) -> Result<(Vec<JournalRecord>, usize, bool)> {
     let mut records = Vec::new();
     let mut pos = 0usize;
     loop {
@@ -233,10 +234,7 @@ fn scan_records(bytes: &[u8]) -> Result<(Vec<JournalRecord>, usize, bool)> {
         if computed != stored {
             return Err(StoreError::ChecksumMismatch { stored, computed });
         }
-        records.push(decode_record_payload(
-            payload,
-            &format!("journal record {}", records.len()),
-        )?);
+        records.push(decode_record_payload(payload, base + pos as u64)?);
         pos += frame;
     }
 }
@@ -271,11 +269,64 @@ fn check_header(bytes: &[u8]) -> Result<u64> {
 pub fn read_journal(path: &Path) -> Result<Journal> {
     let bytes = std::fs::read(path)?;
     let fingerprint = check_header(&bytes)?;
-    let (records, _, torn_tail) = scan_records(&bytes[JOURNAL_HEADER_LEN..])?;
+    let (records, _, torn_tail) =
+        scan_records(&bytes[JOURNAL_HEADER_LEN..], JOURNAL_HEADER_LEN as u64)?;
     Ok(Journal {
         fingerprint,
         records,
         torn_tail,
+    })
+}
+
+/// What [`read_journal_from`] found past its offset.
+#[derive(Clone, Debug)]
+pub struct JournalTail {
+    /// Every complete, checksum-verified record after the offset.
+    pub records: Vec<JournalRecord>,
+    /// The byte offset just past the last complete record, where the
+    /// next tail read starts. Equal to the offset read from when no
+    /// complete record followed it.
+    pub end: u64,
+    /// Bytes read from the file: everything from the offset to its end.
+    pub bytes_read: u64,
+}
+
+/// Reads the records that follow byte `offset` of the journal at
+/// `path`, for a reader that follows a growing journal without
+/// re-reading what it has already applied.
+///
+/// `offset` must be a record boundary: [`JOURNAL_HEADER_LEN`] or an
+/// [`end`](JournalTail::end) an earlier call returned. The header is
+/// not re-checked; validate it once (e.g. with
+/// [`JournalWriter::open_append`]) before tailing. A partial trailing
+/// frame means its writer has not finished: it is left unread, and a
+/// later call from the same offset reads it once it is whole. A
+/// checksum mismatch on a complete frame is an error, as in
+/// [`read_journal`]; so is a file shorter than `offset`, which means
+/// the journal was replaced or truncated under the reader.
+pub fn read_journal_from(path: &Path, offset: u64) -> Result<JournalTail> {
+    assert!(
+        offset >= JOURNAL_HEADER_LEN as u64,
+        "journal tail offset {offset} falls inside the header"
+    );
+    let mut file = File::open(path)?;
+    let len = file.metadata()?.len();
+    if len < offset {
+        return Err(StoreError::Truncated {
+            expected: offset,
+            found: len,
+        });
+    }
+    let mut bytes = Vec::new();
+    if len > offset {
+        file.seek(SeekFrom::Start(offset))?;
+        file.read_to_end(&mut bytes)?;
+    }
+    let (records, end, _) = scan_records(&bytes, offset)?;
+    Ok(JournalTail {
+        records,
+        end: offset + end as u64,
+        bytes_read: bytes.len() as u64,
     })
 }
 
@@ -334,7 +385,7 @@ impl JournalWriter {
                  different dataset"
             )));
         }
-        let (_, end, torn) = scan_records(&bytes[JOURNAL_HEADER_LEN..])?;
+        let (_, end, torn) = scan_records(&bytes[JOURNAL_HEADER_LEN..], JOURNAL_HEADER_LEN as u64)?;
         if torn {
             file.set_len((JOURNAL_HEADER_LEN + end) as u64)?;
             file.sync_data()?;

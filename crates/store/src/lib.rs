@@ -128,7 +128,8 @@
 //! store's framing idioms and error taxonomy:
 //!
 //! * the append-only `.fgd` **row journal** for streaming ingest
-//!   ([`JournalWriter`], [`read_journal`]; wire layout in
+//!   ([`JournalWriter`], [`read_journal`], [`read_journal_from`]; wire
+//!   layout in
 //!   [`journal`](self::JOURNAL_MAGIC)'s module docs), and
 //! * **atomic publication** of a freshly mined artifact over a live
 //!   one ([`publish_artifact`]: temp file → fsync → rename → directory
@@ -146,8 +147,8 @@ mod writer;
 
 pub use error::StoreError;
 pub use journal::{
-    dataset_fingerprint, read_journal, Journal, JournalRecord, JournalWriter, JOURNAL_HEADER_LEN,
-    JOURNAL_MAGIC, JOURNAL_VERSION,
+    dataset_fingerprint, read_journal, read_journal_from, Journal, JournalRecord, JournalTail,
+    JournalWriter, JOURNAL_HEADER_LEN, JOURNAL_MAGIC, JOURNAL_VERSION,
 };
 pub use meta::ArtifactMeta;
 pub use publish::publish_artifact;

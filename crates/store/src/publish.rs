@@ -1,9 +1,9 @@
 //! Atomic artifact publication.
 //!
 //! A live server memory-maps nothing — it re-reads the `.fgi` file on
-//! reload — but a half-written artifact at the published path would
-//! still fail that reload and leave a window where a *new* server could
-//! not start. [`publish_artifact`] closes the window with the classic
+//! reload, or is handed the published groups in memory — but a
+//! half-written artifact at the published path would still fail a
+//! reload and leave a window where a *new* server could not start. [`publish_artifact`] closes the window with the classic
 //! write-temp / fsync / rename / fsync-dir sequence: at every instant
 //! the published path holds either the previous complete artifact or
 //! the new complete artifact, never a prefix of one, and after the

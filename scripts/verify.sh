@@ -193,11 +193,15 @@ for _ in $(seq 1 100); do
   sleep 0.1
 done
 "$client" "$live_addr" /v1/healthz --expect 200 | grep -q '"epoch":1'
+# the daemon hands the server the groups it has just published: the
+# swap counts as one reload attempt and reports the artifact's version
+"$client" "$live_addr" /v1/healthz --expect 200 | grep -q '"artifact_version":2'
 # the republished artifact still answers, and the admin stats carry
 # the pipeline block (journal rows, generation, publish counters)
 "$client" "$live_addr" "/v1/classify?items=0,1" --expect 200 | grep -q '"class"'
 "$client" "$live_addr" /v1/admin/stats --token sekrit --expect 200 \
   > "$tmp/live_stats.json"
+grep -q '"reload_attempts":1' "$tmp/live_stats.json"
 grep -q '"pipeline"' "$tmp/live_stats.json"
 grep -q '"generation":1' "$tmp/live_stats.json"
 wait "$live_pid"
