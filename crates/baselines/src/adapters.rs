@@ -11,7 +11,7 @@
 //! support `>= min_sup` (rule support never exceeds itemset support),
 //! and each rule group's antecedent support set appears as exactly one
 //! closed set. Applying FARMER's interestingness filter
-//! ([`irg_filter`]) to those candidates therefore reproduces FARMER's
+//! (`irg_filter`) to those candidates therefore reproduces FARMER's
 //! output exactly; tests pin the agreement.
 //!
 //! A control-triggered stop ends the run with **no** groups — the

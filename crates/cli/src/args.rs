@@ -292,7 +292,7 @@ pub fn parse(argv: &[String]) -> Result<Command> {
             min_conf: num(&opts, "min-conf", 0.0)?,
             min_chi: num(&opts, "min-chi", 0.0)?,
             no_lower_bounds: flag(&opts, "no-lower-bounds"),
-            k: num(&opts, "k", 3)?,
+            k: count(&opts, "k", 3)?,
             timeout_ms: opt_num(&opts, "timeout-ms")?,
             node_budget: opt_num(&opts, "node-budget")?,
             threads: num(&opts, "threads", 1)?,
@@ -338,7 +338,7 @@ pub fn parse(argv: &[String]) -> Result<Command> {
         "topk" => Ok(Command::TopK(TopKArgs {
             input: path_required(&opts, "in")?,
             class: num(&opts, "class", 1)?,
-            k: num(&opts, "k", 3)?,
+            k: count(&opts, "k", 3)?,
             min_sup: num(&opts, "min-sup", 1)?,
             timeout_ms: opt_num(&opts, "timeout-ms")?,
         })),
@@ -542,6 +542,14 @@ fn num<T: std::str::FromStr>(
             .parse()
             .map_err(|_| CliError(format!("--{key}: cannot parse '{v}'"))),
         Some(None) => Err(CliError(format!("--{key} needs a value"))),
+    }
+}
+
+/// Like [`num`] for a count that must be at least 1.
+fn count(opts: &HashMap<String, Option<String>>, key: &str, default: usize) -> Result<usize> {
+    match num(opts, key, default)? {
+        0 => Err(CliError(format!("--{key} must be at least 1"))),
+        v => Ok(v),
     }
 }
 
@@ -982,6 +990,24 @@ mod tests {
                 assert_eq!(a.min_sup, 2);
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn zero_k_is_rejected() {
+        for cmd in [
+            &["topk", "--in", "d.txt", "--k", "0"][..],
+            &["mine", "--in", "d.txt", "--algo", "topk", "--k", "0"],
+        ] {
+            let err = parse(&sv(cmd)).unwrap_err().to_string();
+            assert!(err.contains("--k must be at least 1"), "{cmd:?}: {err}");
+            let mut ok = cmd.to_vec();
+            *ok.last_mut().unwrap() = "2";
+            match parse(&sv(&ok)).unwrap() {
+                Command::TopK(a) => assert_eq!(a.k, 2),
+                Command::Mine(a) => assert_eq!(a.k, 2),
+                other => panic!("{other:?}"),
+            }
         }
     }
 }

@@ -4,14 +4,19 @@
 //! FARMER's predecessor: the same depth-first traversal of row
 //! combinations, but it reports *every frequent closed pattern*
 //! (class-agnostic) instead of interesting rule groups, and its only
-//! threshold is minimum support. Included both as lineage (§5 of the
+//! threshold is minimum support. It runs FARMER's search with every row
+//! a positive candidate, a support bound before the scan and one
+//! pattern emitted per closed node. Included both as lineage (§5 of the
 //! FARMER paper) and because several cross-checks fall out of it: every
 //! FARMER upper bound is a closed pattern, and CARPENTER must agree with
 //! the column-enumeration closed-set miners (CHARM, CLOSET+) in the
 //! baselines crate.
 
-use crate::cond::{BitsetNode, Table};
-use farmer_dataset::{Dataset, RowId};
+use crate::cond::Table;
+use crate::search::{Emit, Policy, Search};
+use crate::session::{MineControl, NoOpObserver, PruneReason};
+use crate::trace::NoopTracer;
+use farmer_dataset::{Dataset, ItemId};
 use rowset::{IdList, RowSet};
 
 /// A closed pattern with its support set.
@@ -64,93 +69,58 @@ pub struct CarpenterResult {
 ///     .any(|p| p.support() == 4 && p.items.len() == 1));
 /// ```
 pub fn carpenter(data: &Dataset, min_sup: usize) -> CarpenterResult {
-    let min_sup = min_sup.max(1);
     let n = data.n_rows();
-    let mut ctx = CarpCtx {
-        min_sup,
-        n,
+    let policy = CarpenterPolicy {
+        min_sup: min_sup.max(1),
         patterns: Vec::new(),
-        stats: CarpenterStats::default(),
     };
-    let table = Table::new(data);
-    let root = BitsetNode::root(&table);
-    let all = RowSet::full(n);
-    ctx.visit(&root, None, &RowSet::empty(n), all);
+    // class-agnostic: every row is a positive candidate (`m = n`)
+    let (ctl, mut obs) = (MineControl::new(), NoOpObserver);
+    let mut search = Search::new(policy, n, n, &ctl, &mut obs, &NoopTracer);
+    search.run(&Table::new(data));
     CarpenterResult {
-        patterns: ctx.patterns,
-        stats: ctx.stats,
+        patterns: search.policy.patterns,
+        stats: CarpenterStats {
+            nodes_visited: search.stats.nodes_visited,
+            pruned_support: search.stats.pruned_loose,
+            pruned_duplicate: search.stats.pruned_duplicate,
+        },
     }
 }
 
-struct CarpCtx {
+/// CARPENTER's part of the search: the support bound before the scan,
+/// and every closed pattern meeting `min_sup` emitted. Strategies 1 and
+/// 2 are always on (CARPENTER's prunings 1 and 3).
+struct CarpenterPolicy {
     min_sup: usize,
-    n: usize,
     patterns: Vec<ClosedPattern>,
-    stats: CarpenterStats,
 }
 
-impl CarpCtx {
-    fn visit(&mut self, node: &BitsetNode, last: Option<RowId>, counted: &RowSet, e: RowSet) {
-        self.stats.nodes_visited += 1;
-        let is_root = last.is_none();
+impl Policy for CarpenterPolicy {
+    /// Everything below a node covers at most the rows already folded
+    /// in (`counted`) plus the remaining candidates. Checked at the root
+    /// too, where it cuts a dataset of fewer than `min_sup` rows.
+    fn loose(
+        &self,
+        _is_root: bool,
+        _last_is_pos: bool,
+        _parent_sup_p: usize,
+        _parent_sup_n: usize,
+        counted: &RowSet,
+        e_p: &RowSet,
+    ) -> Option<PruneReason> {
+        (counted.len() + e_p.len() < self.min_sup).then_some(PruneReason::LooseBound)
+    }
 
-        // support pruning: everything below covers at most the rows we
-        // have folded in plus the remaining candidates
-        if counted.len() + e.len() < self.min_sup {
-            self.stats.pruned_support += 1;
-            return;
+    fn emit(&mut self, items: &[ItemId], z: &RowSet, _sup_p: usize, _sup_n: usize) -> Emit {
+        if z.len() < self.min_sup {
+            return Emit::Skip;
         }
-
-        // CARPENTER ignores classes; feed all candidates through the
-        // positive slot of the shared scan
-        let empty = RowSet::empty(self.n);
-        let ins = node.inspect(&e, &empty);
-
-        // duplicate-subtree rule (FARMER's pruning 2, CARPENTER pruning 3):
-        // an uncounted row ordered before this node, present in every
-        // tuple, means the subtree repeats an earlier one
-        if !is_root {
-            let last = last.expect("non-root") as usize;
-            if ins
-                .z
-                .iter()
-                .take_while(|&r| r < last)
-                .any(|r| !counted.contains(r))
-            {
-                self.stats.pruned_duplicate += 1;
-                return;
-            }
-        }
-
-        // compression: rows in every tuple join the pattern's support.
-        // Skipped at the root (which emits nothing) so a row contained in
-        // every tuple of the full table still gets enumerated.
-        let (next_e, counted_next) = if is_root {
-            (ins.u_p.clone(), counted.clone())
-        } else {
-            let y = ins.z.intersection(&e);
-            (ins.u_p.difference(&y), counted.union(&y))
-        };
-
-        let mut remaining = next_e.clone();
-        for r in next_e.iter() {
-            remaining.remove(r);
-            let mut counted_child = counted_next.clone();
-            counted_child.insert(r);
-            self.visit(
-                &node.child(r as RowId),
-                Some(r as RowId),
-                &counted_child,
-                remaining.clone(),
-            );
-        }
-
-        if !is_root && ins.z.len() >= self.min_sup {
-            self.patterns.push(ClosedPattern {
-                items: IdList::from_iter(node.items().iter().copied()),
-                rows: ins.z,
-            });
-        }
+        self.patterns.push(ClosedPattern {
+            items: IdList::from_iter(items.iter().copied()),
+            rows: z.clone(),
+        });
+        Emit::Accept
     }
 }
 

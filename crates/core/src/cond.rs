@@ -149,11 +149,9 @@ impl Inspect {
 /// [`RowSet::fused_scan`] kernel, which is the sweet spot for the
 /// microarray shape (hundreds of rows, tens of thousands of items).
 ///
-/// The `*_into` methods are the hot-path interface: they write into
-/// caller-owned buffers (recycled by the miner's scratch arena) so
-/// descending the tree performs no heap allocation. The allocating
-/// [`inspect`](Self::inspect)/[`child`](Self::child) wrappers remain for
-/// tests and one-shot callers.
+/// The `*_into` methods write into caller-owned buffers (recycled by
+/// the search's scratch arena), so descending the tree performs no heap
+/// allocation.
 #[derive(Clone)]
 pub struct BitsetNode<'a> {
     table: &'a Table,
@@ -224,28 +222,26 @@ impl<'a> BitsetNode<'a> {
             "child({r}) has no tuples; r was not a candidate"
         );
     }
-
-    /// Allocating convenience wrapper over
-    /// [`inspect_into`](Self::inspect_into).
-    pub fn inspect(&self, e_p: &RowSet, e_n: &RowSet) -> Inspect {
-        let mut out = Inspect::new(self.table.n_rows());
-        self.inspect_into(e_p, e_n, &mut out);
-        out
-    }
-
-    /// Allocating convenience wrapper over
-    /// [`child_into`](Self::child_into).
-    pub fn child(&self, r: RowId) -> Self {
-        let mut out = self.clone_shell();
-        self.child_into(r, &mut out);
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use farmer_dataset::{paper_example, DatasetBuilder};
+
+    /// `node`'s child on row `r`, in a fresh buffer.
+    fn child<'a>(node: &BitsetNode<'a>, r: RowId) -> BitsetNode<'a> {
+        let mut out = node.clone_shell();
+        node.child_into(r, &mut out);
+        out
+    }
+
+    /// `node`'s scan, into a fresh buffer.
+    fn scan(node: &BitsetNode, e_p: &RowSet, e_n: &RowSet) -> Inspect {
+        let mut out = Inspect::new(e_p.capacity());
+        node.inspect_into(e_p, e_n, &mut out);
+        out
+    }
 
     #[test]
     fn root_and_child_items() {
@@ -254,13 +250,13 @@ mod tests {
         let root = BitsetNode::root(&table);
         assert_eq!(root.items().len(), d.n_items());
         // child on row 1 (paper r2): items of r2 = {a,d,e,h,p,l,r}
-        let c = root.child(1);
+        let c = child(&root, 1);
         let names: Vec<&str> = c.items().iter().map(|&i| d.item_name(i)).collect();
         let mut sorted = names.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec!["a", "d", "e", "h", "l", "p", "r"]);
         // grandchild {r2, r3}: I = {a,e,h}
-        let g = c.child(2);
+        let g = child(&c, 2);
         let mut names: Vec<&str> = g.items().iter().map(|&i| d.item_name(i)).collect();
         names.sort_unstable();
         assert_eq!(names, vec!["a", "e", "h"]);
@@ -270,10 +266,10 @@ mod tests {
     fn inspect_z_is_row_support_of_items() {
         let d = paper_example();
         let table = Table::new(&d);
-        let node = BitsetNode::root(&table).child(1).child(2); // I = {a,e,h}
+        let node = child(&child(&BitsetNode::root(&table), 1), 2); // I = {a,e,h}
         let e_p = RowSet::empty(5);
         let e_n = RowSet::from_ids(5, [3, 4]);
-        let ins = node.inspect(&e_p, &e_n);
+        let ins = scan(&node, &e_p, &e_n);
         // R({a,e,h}) = rows 1,2,3 (paper r2,r3,r4)
         assert_eq!(ins.z.to_vec(), vec![1, 2, 3]);
         // candidate row 3 occurs in all three tuples -> in u_n
@@ -289,7 +285,7 @@ mod tests {
         let root = BitsetNode::root(&table);
         let e_p = RowSet::from_ids(5, [0, 1, 2]);
         let e_n = RowSet::from_ids(5, [3, 4]);
-        let ins = root.inspect(&e_p, &e_n);
+        let ins = scan(&root, &e_p, &e_n);
         // tuple 'a' holds rows {0,1,2,3}: three positive candidates
         assert_eq!(ins.max_ep_tuple, 3);
         // every row has at least one item
@@ -306,9 +302,9 @@ mod tests {
         let root = BitsetNode::root(&table);
         let e_p = RowSet::from_ids(5, [0, 1, 2]);
         let e_n = RowSet::from_ids(5, [3, 4]);
-        let fresh = root.inspect(&e_p, &e_n);
+        let fresh = scan(&root, &e_p, &e_n);
         // refill a buffer left dirty by a different node's scan
-        let mut buf = root.child(1).inspect(&e_p, &e_n);
+        let mut buf = scan(&child(&root, 1), &e_p, &e_n);
         root.inspect_into(&e_p, &e_n, &mut buf);
         assert_eq!(buf, fresh);
     }

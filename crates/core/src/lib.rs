@@ -39,7 +39,10 @@
 //!
 //! # Crate layout
 //!
-//! * [`Farmer`] — the row-enumeration search;
+//! * [`Farmer`] — the FARMER miner: its bounds, step 7, the parallel
+//!   scheduler and MineLB packaging around the row-enumeration search
+//!   (crate-private `search`, the one node visit that FARMER, top-k and
+//!   CARPENTER share, each supplying its own bounds and emission);
 //! * [`cond`] — the conditional transposed table `TT|X`, held as
 //!   item-column row bitsets;
 //! * [`measures`] — support/confidence/χ² and the convex χ² upper bound
@@ -49,7 +52,7 @@
 //! * [`topk`] — top-k covering rule groups per row (the authors'
 //!   follow-up RCBT problem), on the same search;
 //! * [`carpenter`] — the predecessor CARPENTER algorithm (closed-pattern
-//!   mining by row enumeration, KDD'03), sharing the same substrate;
+//!   mining by row enumeration, KDD'03), on the same search;
 //! * [`cobbler`] — COBBLER, which switches between row and column
 //!   enumeration;
 //! * [`session`] — budgets, deadlines, cancellation and observers;
@@ -74,9 +77,10 @@ mod generality;
 mod miner;
 mod params;
 mod rule;
+mod search;
 
 pub use generality::GeneralityIndex;
-pub use miner::{Farmer, NodeScratch};
+pub use miner::Farmer;
 pub use params::{Engine, ExtraConstraint, MiningParams, PruningConfig};
 pub use rule::{canonical_sort, dump_groups, MineResult, MineStats, RuleGroup, SchedStats};
 pub use session::{

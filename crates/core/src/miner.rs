@@ -6,103 +6,13 @@ use crate::measures::{self, chi_square, chi_square_upper_bound, convex_upper_bou
 use crate::minelb::mine_lower_bounds;
 use crate::params::{ExtraConstraint, MiningParams, PruningConfig};
 use crate::rule::{MineResult, MineStats, RuleGroup, SchedStats};
-use crate::session::{
-    ControlState, Heartbeat, MineControl, MineObserver, Miner, NoOpObserver, PruneReason,
-    SharedBudget,
-};
+use crate::search::{Emit, NodeScratch, Policy, Search};
+use crate::session::{MineControl, MineObserver, Miner, NoOpObserver, PruneReason, SharedBudget};
 use crate::trace::{self, NoopTracer, TraceSink};
-use farmer_dataset::{Dataset, RowId};
+use farmer_dataset::{Dataset, ItemId, RowId};
 use farmer_support::thread::WorkDeque;
 use rowset::{IdList, RowSet};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::Instant;
-
-/// One recursion frame's worth of buffers: everything a node of the
-/// enumeration needs beyond its inputs. Pooled by [`NodeScratch`].
-pub(crate) struct Frame<'a> {
-    /// The node's own table `TT|X`, built from its parent's
-    /// ([`BitsetNode::child_into`]) once the node has passed the loose
-    /// bounds.
-    pub(crate) node: BitsetNode<'a>,
-    /// Buffer for the node's scan results.
-    pub(crate) ins: Inspect,
-    /// Positive candidates passed to children (post-compression).
-    pub(crate) next_e_p: RowSet,
-    /// Negative candidates passed to children (post-compression).
-    pub(crate) next_e_n: RowSet,
-    /// `next_e_p` minus the candidates already descended into; after the
-    /// positive sweep it is empty and doubles as the negative children's
-    /// (empty) `e_p`.
-    pub(crate) remaining_p: RowSet,
-    /// `next_e_n` minus the candidates already descended into.
-    pub(crate) remaining_n: RowSet,
-    /// `counted` for the children; the current child's row is inserted
-    /// before descending and removed after, so one buffer serves all.
-    pub(crate) counted_next: RowSet,
-}
-
-/// A pool of recursion [`Frame`]s, one arena per worker.
-///
-/// `acquire` pops a recycled frame (or builds one — this only happens
-/// the first time the search reaches a given depth, so after a warm-up
-/// descent the steady state performs **zero heap allocations per node**;
-/// the allocation-guard test in `crates/core/tests` enforces this).
-/// `release` pushes the frame back on unwind, buffers intact, for the
-/// next sibling at that depth to reuse.
-pub struct NodeScratch<'a> {
-    pool: Vec<Frame<'a>>,
-    n_rows: usize,
-    in_flight: usize,
-    peak: usize,
-}
-
-impl<'a> NodeScratch<'a> {
-    /// An empty arena for a dataset of `n_rows` rows.
-    pub fn new(n_rows: usize) -> Self {
-        NodeScratch {
-            pool: Vec::new(),
-            n_rows,
-            in_flight: 0,
-            peak: 0,
-        }
-    }
-
-    /// Deepest number of simultaneously live frames seen — the arena's
-    /// steady-state footprint in frames.
-    pub fn peak_depth(&self) -> usize {
-        self.peak
-    }
-
-    /// Pops a frame (building a fresh one if the pool is dry, i.e. this
-    /// is the deepest the search has been) and builds the entered node's
-    /// table into it: `parent`'s child on row `last` (Lemma 3.3), or a
-    /// copy of `parent` at the root (`last` is `None`).
-    pub(crate) fn acquire(&mut self, parent: &BitsetNode<'a>, last: Option<RowId>) -> Frame<'a> {
-        self.in_flight += 1;
-        self.peak = self.peak.max(self.in_flight);
-        let n = self.n_rows;
-        let mut frame = self.pool.pop().unwrap_or_else(|| Frame {
-            node: parent.clone_shell(),
-            ins: Inspect::new(n),
-            next_e_p: RowSet::empty(n),
-            next_e_n: RowSet::empty(n),
-            remaining_p: RowSet::empty(n),
-            remaining_n: RowSet::empty(n),
-            counted_next: RowSet::empty(n),
-        });
-        match last {
-            Some(r) => parent.child_into(r, &mut frame.node),
-            None => frame.node.clone_from(parent),
-        }
-        frame
-    }
-
-    /// Returns a frame to the pool for reuse by a sibling node.
-    pub(crate) fn release(&mut self, frame: Frame<'a>) {
-        self.in_flight -= 1;
-        self.pool.push(frame);
-    }
-}
 
 /// The FARMER miner. Configure with [`MiningParams`] (thresholds) and
 /// optionally [`PruningConfig`], then call [`mine`](Farmer::mine).
@@ -334,53 +244,50 @@ impl Farmer {
     {
         let n = reordered.n_rows();
         let m = reordered.class_count(self.params.target_class);
-        let eff_min_conf = self.effective_min_conf(n, m);
-        let mut ctx = Ctx {
+        let mut search = self.search(n, m, frontier, ctl, obs, tracer);
+        let peak_arena_depth = search.run(table);
+        let sched = SchedStats {
+            steals: 0,
+            worker_nodes: vec![search.stats.nodes_visited],
+            peak_arena_depth,
+        };
+        let (irgs, stats) = (search.policy.irgs, search.stats);
+        self.package(irgs, stats, sched, reordered, order, n, m, tracer)
+    }
+
+    /// The search of a sequential run, which a parallel worker adjusts
+    /// to its own: FARMER's policy under this miner's pruning switches,
+    /// frontier and harvest mode.
+    fn search<'a, O, T>(
+        &'a self,
+        n: usize,
+        m: usize,
+        frontier: Option<&'a RowSet>,
+        ctl: &'a MineControl,
+        obs: &'a mut O,
+        tracer: &'a T,
+    ) -> Search<'a, IrgPolicy<'a>, O, T>
+    where
+        O: MineObserver + ?Sized,
+        T: TraceSink + ?Sized,
+    {
+        let policy = IrgPolicy {
             params: &self.params,
             pruning: &self.pruning,
             n,
             m,
-            eff_min_conf,
-            pos_mask: RowSet::from_ids(n, 0..m),
-            ctl: ctl.state(),
-            heartbeat_every: ctl.heartbeat_every,
-            start: Instant::now(),
-            obs,
-            tracer,
-            lane: trace::LANE_MAIN,
-            stats: MineStats::default(),
+            eff_min_conf: self.params.effective_min_conf(n, m),
             irgs: Vec::new(),
             accepted: GeneralityIndex::new(),
             defer_interesting: self.harvest,
-            frontier,
             split: None,
             current_root: 0,
         };
-        let e_p = RowSet::from_ids(n, 0..m);
-        let e_n = RowSet::from_ids(n, m..n);
-        let mut scratch = NodeScratch::new(n);
-        {
-            let _enumerate = trace::span(tracer, trace::LANE_MAIN, trace::SPAN_ENUMERATE);
-            ctx.visit(
-                &mut scratch,
-                &BitsetNode::root(table),
-                None,
-                &RowSet::empty(n),
-                &e_p,
-                &e_n,
-                0,
-                0,
-                0,
-            );
-        }
-        let irgs = ctx.irgs;
-        let stats = ctx.stats;
-        let sched = SchedStats {
-            steals: 0,
-            worker_nodes: vec![stats.nodes_visited],
-            peak_arena_depth: scratch.peak_depth(),
-        };
-        self.package(irgs, stats, sched, reordered, order, n, m, tracer)
+        let mut search = Search::new(policy, n, m, ctl, obs, tracer);
+        search.strategy1 = self.pruning.strategy1_compression;
+        search.strategy2 = self.pruning.strategy2_duplicate;
+        search.frontier = frontier;
+        search
     }
 
     /// Parallel search: the root is built and scanned **once** (it
@@ -433,7 +340,6 @@ impl Farmer {
         let root = &BitsetNode::root(table);
         let n = reordered.n_rows();
         let m = reordered.class_count(self.params.target_class);
-        let eff_min_conf = self.effective_min_conf(n, m);
         let threads = self.threads;
         let shared_budget = ctl.node_budget.map(SharedBudget::new);
         let budget = shared_budget.as_ref();
@@ -442,9 +348,9 @@ impl Farmer {
         // root, exact candidates), then queue the depth-1 subtrees
         let e_p = RowSet::from_ids(n, 0..m);
         let e_n = RowSet::from_ids(n, m..n);
-        let ins = root.inspect(&e_p, &e_n);
-        let pos_mask = RowSet::from_ids(n, 0..m);
-        let sup_p0 = ins.z.intersection_len(&pos_mask);
+        let mut ins = Inspect::new(n);
+        root.inspect_into(&e_p, &e_n, &mut ins);
+        let sup_p0 = ins.z.intersection_len(&e_p);
         let sup_n0 = ins.z.len() - sup_p0;
         // candidates in sequential order: positives then negatives
         let cands: Vec<usize> = ins.u_p.iter().chain(ins.u_n.iter()).collect();
@@ -486,43 +392,22 @@ impl Farmer {
                         let lane = trace::worker_lane(w);
                         let _enumerate = trace::span(tracer, lane, trace::SPAN_ENUMERATE);
                         let mut noop = NoOpObserver;
-                        let mut ctx = Ctx {
-                            params: &self.params,
-                            pruning: &self.pruning,
-                            n,
-                            m,
-                            eff_min_conf,
-                            pos_mask: RowSet::from_ids(n, 0..m),
-                            ctl: ctl.state_with_shared(budget),
-                            heartbeat_every: 0,
-                            start: Instant::now(),
-                            obs: &mut noop,
-                            tracer,
-                            lane,
-                            stats: MineStats::default(),
-                            irgs: Vec::new(),
-                            accepted: GeneralityIndex::new(),
-                            defer_interesting: true,
-                            frontier,
-                            split: Some(SplitCtx {
-                                deque: &deques[w],
-                                hungry,
-                                in_flight,
-                            }),
-                            current_root: 0,
-                        };
-                        ctx.stats.nodes_visited += 1; // the shared root
+                        let mut search = self.search(n, m, frontier, ctl, &mut noop, tracer);
+                        search.ctl = ctl.state_with_shared(budget);
+                        search.heartbeat_every = 0;
+                        search.lane = lane;
+                        search.policy.defer_interesting = true;
+                        search.policy.split = Some(SplitCtx {
+                            deque: &deques[w],
+                            hungry,
+                            in_flight,
+                        });
+                        search.stats.nodes_visited += 1; // the shared root
                         let mut scratch = NodeScratch::new(n);
-                        // depth-1 task buffers
+                        // the depth-1 node's `counted` and candidates
                         let mut counted = RowSet::empty(n);
-                        let mut rem_p = RowSet::empty(n);
-                        let mut rem_n = RowSet::empty(n);
-                        // split-task replay buffers: the depth-1 node
-                        // and its scan
-                        let mut node1 = root.clone_shell();
-                        let mut ins1 = Inspect::new(n);
-                        let mut task_e_p = RowSet::empty(n);
-                        let mut task_e_n = RowSet::empty(n);
+                        let mut e_p = RowSet::empty(n);
+                        let mut e_n = RowSet::empty(n);
                         let mut steals = 0u64;
                         // FIFO-steal the next victim round-robin from w
                         let try_steal = |steals: &mut u64| -> Option<u64> {
@@ -538,7 +423,7 @@ impl Farmer {
                             None
                         };
                         loop {
-                            if ctx.stats.budget_exhausted {
+                            if search.stats.budget_exhausted {
                                 // release anyone starving on in_flight:
                                 // queued tasks will never run
                                 halt.store(true, Ordering::Release);
@@ -585,108 +470,80 @@ impl Farmer {
                             };
                             let idx = (task & u64::from(u32::MAX)) as usize;
                             let r = cands[idx];
+                            // depth-1 node r, as the sequential root's
+                            // descent enters it: a positive r keeps the
+                            // later positives and every negative, a
+                            // negative r only the later negatives
+                            counted.clear();
+                            counted.insert(r);
+                            e_p.copy_from(&ins.u_p);
+                            e_n.copy_from(&ins.u_n);
+                            if idx < n_pos {
+                                e_p.clear_through(r);
+                            } else {
+                                e_p.clear();
+                                e_n.clear_through(r);
+                            }
                             match (task >> 32) as u32 {
                                 0 => {
                                     // depth-1 root task: exactly the
                                     // sequential root's descend step
-                                    ctx.current_root = idx as u32;
-                                    counted.clear();
-                                    counted.insert(r);
-                                    if idx < n_pos {
-                                        // positive subtree: candidates after r
-                                        rem_p.copy_from(&ins.u_p);
-                                        rem_p.clear_through(r);
-                                        ctx.visit(
-                                            &mut scratch,
-                                            root,
-                                            Some(r as RowId),
-                                            &counted,
-                                            &rem_p,
-                                            &ins.u_n,
-                                            sup_p0,
-                                            sup_n0,
-                                            1,
-                                        );
-                                    } else {
-                                        // negative subtree: no positive candidates
-                                        rem_p.clear();
-                                        rem_n.copy_from(&ins.u_n);
-                                        rem_n.clear_through(r);
-                                        ctx.visit(
-                                            &mut scratch,
-                                            root,
-                                            Some(r as RowId),
-                                            &counted,
-                                            &rem_p,
-                                            &rem_n,
-                                            sup_p0,
-                                            sup_n0,
-                                            1,
-                                        );
-                                    }
+                                    search.policy.current_root = idx as u32;
+                                    search.visit(
+                                        &mut scratch,
+                                        root,
+                                        Some(r as RowId),
+                                        &counted,
+                                        &e_p,
+                                        &e_n,
+                                        sup_p0,
+                                        sup_n0,
+                                        1,
+                                    );
                                 }
                                 c_plus_1 => {
                                     // split task: replay the depth-1 node
-                                    // (r)'s state from the shared root scan,
-                                    // then run its child c's subtree. The
-                                    // replay is pure arithmetic — no tick, no
-                                    // node count — because the depth-1 node
-                                    // was already visited by the splitter.
+                                    // (r)'s scan and step 5 from the shared
+                                    // root, then run its child c's subtree.
+                                    // The replay is pure arithmetic — no
+                                    // tick, no node count — because the
+                                    // splitter already visited the node.
                                     let c = (c_plus_1 - 1) as usize;
-                                    root.child_into(r as RowId, &mut node1);
-                                    if idx < n_pos {
-                                        task_e_p.copy_from(&ins.u_p);
-                                        task_e_p.clear_through(r);
-                                        task_e_n.copy_from(&ins.u_n);
-                                    } else {
-                                        task_e_p.clear();
-                                        task_e_n.copy_from(&ins.u_n);
-                                        task_e_n.clear_through(r);
-                                    }
-                                    node1.inspect_into(&task_e_p, &task_e_n, &mut ins1);
-                                    let sup_p1 = ins1.z.intersection_len(&ctx.pos_mask);
-                                    let sup_n1 = ins1.z.len() - sup_p1;
-                                    counted.clear();
-                                    counted.insert(r);
-                                    if self.pruning.strategy1_compression {
-                                        // mirror visit_scanned's step 5
-                                        ins1.u_p.difference_into(&ins1.z, &mut rem_p);
-                                        ins1.u_n.difference_into(&ins1.z, &mut rem_n);
-                                        task_e_p.union_with(&task_e_n);
-                                        task_e_p.intersect_with(&ins1.z);
-                                        counted.union_with(&task_e_p);
-                                    } else {
-                                        rem_p.copy_from(&ins1.u_p);
-                                        rem_n.copy_from(&ins1.u_n);
-                                    }
-                                    debug_assert!(!counted.contains(c));
-                                    counted.insert(c);
+                                    let mut f = scratch.acquire(root, Some(r as RowId));
+                                    f.node.inspect_into(&e_p, &e_n, &mut f.ins);
+                                    let (sup_p1, sup_n1) = search.counts(&f.ins.z);
+                                    let fold = self.pruning.strategy1_compression;
+                                    f.step5(fold, &counted, &e_p, &e_n);
+                                    // child c's candidates, as the descent
+                                    // builds them
+                                    debug_assert!(!f.counted_next.contains(c));
+                                    f.counted_next.insert(c);
+                                    f.remaining_p.copy_from(&f.next_e_p);
+                                    f.remaining_n.copy_from(&f.next_e_n);
                                     if c < m {
-                                        // positive child: later positives
-                                        // plus the full negative list
-                                        rem_p.clear_through(c);
+                                        f.remaining_p.clear_through(c);
                                     } else {
-                                        // negative child: positives drained,
-                                        // later negatives remain
-                                        rem_p.clear();
-                                        rem_n.clear_through(c);
+                                        f.remaining_p.clear();
+                                        f.remaining_n.clear_through(c);
                                     }
-                                    ctx.visit(
+                                    search.visit(
                                         &mut scratch,
-                                        &node1,
+                                        &f.node,
                                         Some(c as RowId),
-                                        &counted,
-                                        &rem_p,
-                                        &rem_n,
+                                        &f.counted_next,
+                                        &f.remaining_p,
+                                        &f.remaining_n,
                                         sup_p1,
                                         sup_n1,
                                         2,
                                     );
+                                    scratch.release(f);
                                 }
                             }
                             in_flight.fetch_sub(1, Ordering::SeqCst);
                         }
-                        (ctx.irgs, ctx.stats, steals, scratch.peak_depth())
+                        let peak = scratch.peak_depth();
+                        (search.policy.irgs, search.stats, steals, peak)
                     })
                 })
                 .collect();
@@ -755,12 +612,6 @@ impl Farmer {
         }
         drop(_merge);
         self.package(accepted, stats, sched, reordered, order, n, m, tracer)
-    }
-
-    /// Folds any lift/conviction extras into the confidence threshold
-    /// (see [`MiningParams::effective_min_conf`]).
-    fn effective_min_conf(&self, n: usize, m: usize) -> f64 {
-        self.params.effective_min_conf(n, m)
     }
 
     /// Maps pending groups back to original row ids, attaches lower
@@ -875,7 +726,7 @@ impl Farmer {
     }
 }
 
-/// The scheduler hooks a parallel worker threads through its [`Ctx`]:
+/// The scheduler hooks a parallel worker threads through its policy:
 /// everything a depth-1 node needs to shed its children to starving
 /// peers instead of recursing into them.
 struct SplitCtx<'a> {
@@ -900,54 +751,98 @@ struct Pending {
     conf: f64,
 }
 
-struct Ctx<'a, O: MineObserver + ?Sized, T: TraceSink + ?Sized> {
+/// FARMER's part of the search: the loose and tight bounds of pruning
+/// strategy 3, step 7's thresholds and interestingness check, and the
+/// parallel split.
+struct IrgPolicy<'a> {
     params: &'a MiningParams,
     pruning: &'a PruningConfig,
     n: usize,
     m: usize,
     /// `min_conf` tightened by any lift/conviction extras.
     eff_min_conf: f64,
-    pos_mask: RowSet,
-    /// Budget / deadline / stop-flag checks, one tick per node.
-    ctl: ControlState<'a>,
-    /// Nodes between observer heartbeats (0 = off).
-    heartbeat_every: u64,
-    start: Instant,
-    obs: &'a mut O,
-    /// Statically dispatched trace sink ([`NoopTracer`] = untraced).
-    tracer: &'a T,
-    /// The trace lane this context records on.
-    lane: usize,
-    stats: MineStats,
     irgs: Vec<Pending>,
     /// `irgs` keyed for step 7, ids being positions in `irgs`.
     accepted: GeneralityIndex,
     /// Parallel mode: skip the step-7 interestingness comparison here
     /// and let the merge phase run it over all threads' groups.
     defer_interesting: bool,
-    /// Delta-restricted remine: prune subtrees that cannot reach these
-    /// rows and emit only groups whose support set touches them, in
-    /// reordered (ORD) id space. `None` = unrestricted.
-    frontier: Option<&'a RowSet>,
     /// Parallel mode: the deque/starvation hooks for adaptive
     /// splitting. `None` in sequential runs.
     split: Option<SplitCtx<'a>>,
     /// Index (into the parallel run's candidate list) of the depth-1
-    /// root this context is currently under — split tasks carry it so
+    /// root this worker is currently under — split tasks carry it so
     /// the claimant can replay the path. Meaningless when `split` is
     /// `None`.
     current_root: u32,
 }
 
-impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> Ctx<'_, O, T> {
+impl Policy for IrgPolicy<'_> {
+    /// Strategy 3's loose bounds `Us2`/`Uc2` (step 2), from the parent's
+    /// counts and the node's positive candidates.
+    fn loose(
+        &self,
+        is_root: bool,
+        last_is_pos: bool,
+        parent_sup_p: usize,
+        parent_sup_n: usize,
+        _counted: &RowSet,
+        e_p: &RowSet,
+    ) -> Option<PruneReason> {
+        if !self.pruning.strategy3_loose || is_root {
+            return None;
+        }
+        let us2 = if last_is_pos {
+            parent_sup_p + 1 + e_p.len()
+        } else {
+            parent_sup_p
+        };
+        let supn_in = parent_sup_n + usize::from(!last_is_pos);
+        let cut = us2 < self.params.min_sup
+            || (self.eff_min_conf > 0.0
+                && (us2 as f64 / (us2 + supn_in) as f64) < self.eff_min_conf);
+        cut.then_some(PruneReason::LooseBound)
+    }
+
+    /// Strategy 3's tight bounds (step 4): `Us1`, `Uc1`, the χ² upper
+    /// bound, and the convexity bounds of the footnote-3 extras (lift
+    /// and conviction already act through `eff_min_conf`).
+    fn tight(&self, us1: usize, sup_p: usize, sup_n: usize) -> Option<PruneReason> {
+        if !self.pruning.strategy3_tight {
+            return None;
+        }
+        if us1 < self.params.min_sup {
+            return Some(PruneReason::TightSupport);
+        }
+        if self.eff_min_conf > 0.0 && (us1 as f64 / (us1 + sup_n) as f64) < self.eff_min_conf {
+            return Some(PruneReason::TightConfidence);
+        }
+        if self.params.min_chi <= 0.0 && self.params.extra.is_empty() {
+            return None;
+        }
+        let t = Contingency::new(sup_p + sup_n, sup_p, self.n, self.m);
+        let chi_cut = self.params.min_chi > 0.0 && chi_square_upper_bound(t) < self.params.min_chi;
+        let extra_cut = self.params.extra.iter().any(|c| match *c {
+            ExtraConstraint::MinEntropyGain(v) => convex_upper_bound(measures::entropy_gain, t) < v,
+            ExtraConstraint::MinGiniGain(v) => convex_upper_bound(measures::gini_gain, t) < v,
+            // φ = ±sqrt(χ²/n) pointwise, so the χ² bound caps the
+            // reachable positive correlation
+            ExtraConstraint::MinCorrelation(v) if v > 0.0 => {
+                (chi_square_upper_bound(t) / self.n.max(1) as f64).sqrt() < v
+            }
+            _ => false,
+        });
+        (chi_cut || extra_cut).then_some(PruneReason::ChiBound)
+    }
+
     /// Offers child row `child` of the current depth-1 node to starving
     /// peers. Returns `true` when the child was packed into the deque
-    /// (caller skips the recursion — someone will replay it), `false`
-    /// when nobody is hungry or the deque is full (caller recurses as
-    /// usual). `in_flight` goes up before the push so the task count
+    /// (the search skips the recursion — someone will replay it), `false`
+    /// when nobody is hungry or the deque is full (the search recurses
+    /// as usual). `in_flight` goes up before the push so the task count
     /// can never read zero while this task is claimable.
     #[inline]
-    fn try_split(&mut self, child: usize) -> bool {
+    fn split(&mut self, child: usize) -> bool {
         let Some(sp) = &self.split else { return false };
         if sp.hungry.load(Ordering::Relaxed) == 0 {
             return false;
@@ -964,409 +859,34 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> Ctx<'_, O, T> {
         }
     }
 
-    /// One node of the enumeration tree (Figure 5's `MineIRGs`).
-    ///
-    /// `last` is the row whose addition created this node and `parent`
-    /// the node it was added to; at the root `last` is `None` and
-    /// `parent` is the root itself. `counted` is `X` plus every row
-    /// folded away by pruning strategy 1 at ancestors;
-    /// `parent_sup_p`/`parent_sup_n` are the parent rule's exact support
-    /// counts (for the loose bounds).
-    ///
-    /// Split in two so that only nodes surviving the pre-scan checks pay
-    /// for a frame and a table: this wrapper runs the cheap accounting
-    /// and the loose bounds, then borrows a [`Frame`] holding the node's
-    /// table from `scratch`, runs [`visit_scanned`](Self::visit_scanned)
-    /// and returns the frame. The loose bounds read only the parent's
-    /// counts and `e_p`, so building the table after them changes no
-    /// count, tick or event. In steady state (warm pool) neither half
-    /// heap-allocates; only emission of a threshold-passing group does.
-    #[allow(clippy::too_many_arguments)]
-    fn visit<'t>(
-        &mut self,
-        scratch: &mut NodeScratch<'t>,
-        parent: &BitsetNode<'t>,
-        last: Option<RowId>,
-        counted: &RowSet,
-        e_p: &RowSet,
-        e_n: &RowSet,
-        parent_sup_p: usize,
-        parent_sup_n: usize,
-        depth: usize,
-    ) {
-        // Traced runs time the whole (inclusive) visit; the branch is
-        // resolved at compile time for `NoopTracer`, leaving the
-        // untraced hot path clock-free.
-        if self.tracer.enabled() {
-            let t0 = self.tracer.now_ns();
-            self.visit_inner(
-                scratch,
-                parent,
-                last,
-                counted,
-                e_p,
-                e_n,
-                parent_sup_p,
-                parent_sup_n,
-                depth,
-            );
-            self.tracer.duration_ns(
-                self.lane,
-                trace::HIST_NODE_VISIT,
-                self.tracer.now_ns().saturating_sub(t0),
-            );
-        } else {
-            self.visit_inner(
-                scratch,
-                parent,
-                last,
-                counted,
-                e_p,
-                e_n,
-                parent_sup_p,
-                parent_sup_n,
-                depth,
-            );
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn visit_inner<'t>(
-        &mut self,
-        scratch: &mut NodeScratch<'t>,
-        parent: &BitsetNode<'t>,
-        last: Option<RowId>,
-        counted: &RowSet,
-        e_p: &RowSet,
-        e_n: &RowSet,
-        parent_sup_p: usize,
-        parent_sup_n: usize,
-        depth: usize,
-    ) {
-        if self.stats.budget_exhausted {
-            return;
-        }
-        self.stats.nodes_visited += 1;
-        self.obs.node_entered(depth);
-        if let Some(cause) = self.ctl.tick() {
-            self.stats.budget_exhausted = true;
-            self.stats.stop = cause;
-            return;
-        }
-        if MineControl::heartbeat_due(self.heartbeat_every, self.stats.nodes_visited) {
-            self.obs.heartbeat(&Heartbeat {
-                nodes_visited: self.stats.nodes_visited,
-                groups_found: self.irgs.len(),
-                elapsed: self.start.elapsed(),
-            });
-        }
-        if self.tracer.enabled() && self.stats.nodes_visited & trace::NODE_COUNTER_MASK == 0 {
-            self.tracer
-                .counter(self.lane, trace::COUNTER_NODES, self.stats.nodes_visited);
-        }
-        let is_root = last.is_none();
-        // under ORD, positives are exactly the rows below the class margin
-        let last_is_pos = last.is_none_or(|r| (r as usize) < self.m);
-
-        // ---- Pruning strategy 3, loose bounds (step 2): before scanning.
-        if self.pruning.strategy3_loose && !is_root {
-            let us2 = if last_is_pos {
-                parent_sup_p + 1 + e_p.len()
-            } else {
-                parent_sup_p
-            };
-            if us2 < self.params.min_sup {
-                self.stats.pruned_loose += 1;
-                self.obs.pruned(PruneReason::LooseBound);
-                return;
-            }
-            if self.eff_min_conf > 0.0 {
-                let supn_in = parent_sup_n + usize::from(!last_is_pos);
-                let uc2 = us2 as f64 / (us2 + supn_in) as f64;
-                if uc2 < self.eff_min_conf {
-                    self.stats.pruned_loose += 1;
-                    self.obs.pruned(PruneReason::LooseBound);
-                    return;
-                }
-            }
-        }
-
-        let mut frame = scratch.acquire(parent, last);
-        self.visit_scanned(
-            scratch,
-            &mut frame,
-            last,
-            counted,
-            e_p,
-            e_n,
-            parent_sup_p,
-            depth,
-        );
-        scratch.release(frame);
-    }
-
-    /// The scan-onwards half of [`visit`](Self::visit): steps 3–7 of
-    /// `MineIRGs`, working entirely inside the borrowed frame `f`, whose
-    /// `node` holds this node's table. Early `return`s land back in the
-    /// wrapper, which releases the frame to the pool.
-    #[allow(clippy::too_many_arguments)]
-    fn visit_scanned<'t>(
-        &mut self,
-        scratch: &mut NodeScratch<'t>,
-        f: &mut Frame<'t>,
-        last: Option<RowId>,
-        counted: &RowSet,
-        e_p: &RowSet,
-        e_n: &RowSet,
-        parent_sup_p: usize,
-        depth: usize,
-    ) {
-        let is_root = last.is_none();
-        let last_is_pos = last.is_none_or(|r| (r as usize) < self.m);
-
-        // ---- Scan TT|X (step 3).
-        if self.tracer.enabled() {
-            let t0 = self.tracer.now_ns();
-            f.node.inspect_into(e_p, e_n, &mut f.ins);
-            self.tracer.duration_ns(
-                self.lane,
-                trace::HIST_FUSED_SCAN,
-                self.tracer.now_ns().saturating_sub(t0),
-            );
-        } else {
-            f.node.inspect_into(e_p, e_n, &mut f.ins);
-        }
-
-        // ---- Delta-restricted frontier: a subtree is worth entering
-        // only if some descendant's support set can contain a frontier
-        // row. Every row of a descendant's `z` appears in this node's
-        // `z ∪ u_p ∪ u_n` (rows leave the candidate sets only by being
-        // folded into `z` by compression or by being ordered before the
-        // path, and the latter triggers the strategy-2 prune below), so
-        // three disjointness tests prove the whole subtree frontier-free.
-        // Never at the root: the root's `u` sets are the seed candidates
-        // and pruning it would end the run.
-        if let Some(fr) = self.frontier {
-            if !is_root
-                && f.ins.z.is_disjoint(fr)
-                && f.ins.u_p.is_disjoint(fr)
-                && f.ins.u_n.is_disjoint(fr)
-            {
-                self.stats.pruned_frontier += 1;
-                return;
-            }
-        }
-
-        // ---- Pruning strategy 2 (step 1 in the paper; our back scan is
-        // part of the main scan). A row ordered before this node's deepest
-        // row that occurs in every tuple — and was neither enumerated nor
-        // compressed — proves every group below was discovered earlier
-        // (Lemma 3.6).
-        if self.pruning.strategy2_duplicate && !is_root {
-            let last = last.expect("non-root has a last row") as usize;
-            // z rows beyond `last` are candidates (current Y) or compressed
-            // rows, both excluded by Lemma 3.6; only the back range matters.
-            let has_alien_back = f
-                .ins
-                .z
-                .iter()
-                .take_while(|&r| r < last)
-                .any(|r| !counted.contains(r));
-            if has_alien_back {
-                self.stats.pruned_duplicate += 1;
-                self.obs.pruned(PruneReason::Duplicate);
-                return;
-            }
-        }
-
-        // Exact support counts of the rule I(X) -> C at this node:
-        // z = R(I(X)) under the empty-intersection convention.
-        let sup_p = f.ins.z.intersection_len(&self.pos_mask);
-        let sup_n = f.ins.z.len() - sup_p;
-
-        // ---- Pruning strategy 3, tight bounds (step 4): after scanning.
-        if self.pruning.strategy3_tight && !is_root {
-            let us1 = if last_is_pos {
-                parent_sup_p + 1 + f.ins.max_ep_tuple
-            } else {
-                parent_sup_p
-            };
-            if us1 < self.params.min_sup {
-                self.stats.pruned_tight_support += 1;
-                self.obs.pruned(PruneReason::TightSupport);
-                return;
-            }
-            if self.eff_min_conf > 0.0 {
-                let uc1 = us1 as f64 / (us1 + sup_n) as f64;
-                if uc1 < self.eff_min_conf {
-                    self.stats.pruned_tight_confidence += 1;
-                    self.obs.pruned(PruneReason::TightConfidence);
-                    return;
-                }
-            }
-            if self.params.min_chi > 0.0 {
-                let t = Contingency::new(sup_p + sup_n, sup_p, self.n, self.m);
-                if chi_square_upper_bound(t) < self.params.min_chi {
-                    self.stats.pruned_chi += 1;
-                    self.obs.pruned(PruneReason::ChiBound);
-                    return;
-                }
-            }
-            // footnote-3 extras with convexity-based bounds (lift and
-            // conviction already act through eff_min_conf)
-            if !self.params.extra.is_empty() {
-                let t = Contingency::new(sup_p + sup_n, sup_p, self.n, self.m);
-                for c in &self.params.extra {
-                    let prunable = match *c {
-                        ExtraConstraint::MinEntropyGain(v) => {
-                            convex_upper_bound(measures::entropy_gain, t) < v
-                        }
-                        ExtraConstraint::MinGiniGain(v) => {
-                            convex_upper_bound(measures::gini_gain, t) < v
-                        }
-                        ExtraConstraint::MinCorrelation(v) if v > 0.0 => {
-                            // φ = ±sqrt(χ²/n) pointwise, so the χ² bound
-                            // caps the reachable positive correlation
-                            (chi_square_upper_bound(t) / self.n.max(1) as f64).sqrt() < v
-                        }
-                        _ => false,
-                    };
-                    if prunable {
-                        self.stats.pruned_chi += 1;
-                        self.obs.pruned(PruneReason::ChiBound);
-                        return;
-                    }
-                }
-            }
-        }
-
-        // ---- Pruning strategy 1 (step 5): rows in every tuple are folded
-        // into the counts and removed from the candidate lists. Never at
-        // the root: the root emits no rule, so a row contained in every
-        // tuple of the full table (possible only in degenerate data) would
-        // otherwise have its group silently skipped.
-        //
-        // All in frame buffers: u_p ⊆ e_p and u_n ⊆ e_n, so subtracting
-        // z is the same as subtracting the folded rows y = z ∩ e, and
-        // counted ∪ y_p ∪ y_n = counted ∪ (z ∩ (e_p ∪ e_n)).
-        if self.pruning.strategy1_compression && !is_root {
-            self.stats.rows_compressed +=
-                (f.ins.z.intersection_len(e_p) + f.ins.z.intersection_len(e_n)) as u64;
-            f.ins.u_p.difference_into(&f.ins.z, &mut f.next_e_p);
-            f.ins.u_n.difference_into(&f.ins.z, &mut f.next_e_n);
-            e_p.union_into(e_n, &mut f.counted_next);
-            f.counted_next.intersect_with(&f.ins.z);
-            f.counted_next.union_with(counted);
-        } else {
-            f.next_e_p.copy_from(&f.ins.u_p);
-            f.next_e_n.copy_from(&f.ins.u_n);
-            f.counted_next.copy_from(counted);
-        }
-
-        // ---- Descend (step 6): positive candidates first, then negative,
-        // in ascending ORD order. `remaining` shrinks as we iterate so each
-        // child sees exactly the candidates ordered after it. The child's
-        // `counted` is this node's plus the child row alone, so toggling
-        // the row around the recursive call avoids a per-child copy (the
-        // row is a live candidate, never already in `counted_next`).
-        f.remaining_p.copy_from(&f.next_e_p);
-        for r in f.next_e_p.iter() {
-            if self.stats.budget_exhausted {
-                break;
-            }
-            f.remaining_p.remove(r);
-            // adaptive split: while peers starve, a depth-1 node sheds
-            // this child as a replayable task instead of recursing
-            if depth == 1 && self.try_split(r) {
-                continue;
-            }
-            debug_assert!(!f.counted_next.contains(r));
-            f.counted_next.insert(r);
-            self.visit(
-                scratch,
-                &f.node,
-                Some(r as RowId),
-                &f.counted_next,
-                &f.remaining_p,
-                &f.next_e_n,
-                sup_p,
-                sup_n,
-                depth + 1,
-            );
-            f.counted_next.remove(r);
-        }
-        // after the positive sweep `remaining_p` is drained, so it doubles
-        // as the negative children's (empty) positive candidate list; when
-        // the sweep was cut short the budget check below fires first.
-        f.remaining_n.copy_from(&f.next_e_n);
-        for r in f.next_e_n.iter() {
-            if self.stats.budget_exhausted {
-                break;
-            }
-            f.remaining_n.remove(r);
-            if depth == 1 && self.try_split(r) {
-                continue;
-            }
-            debug_assert!(!f.counted_next.contains(r));
-            f.counted_next.insert(r);
-            self.visit(
-                scratch,
-                &f.node,
-                Some(r as RowId),
-                &f.counted_next,
-                &f.remaining_p,
-                &f.remaining_n,
-                sup_p,
-                sup_n,
-                depth + 1,
-            );
-            f.counted_next.remove(r);
-        }
-
-        // ---- Emit (step 7): after the whole subtree, so that every more
-        // general group has already been judged (Lemma 3.4). A halted
-        // search emits nothing further — not even this node's own (valid)
-        // rule — so the accepted groups stay an exact prefix of the
-        // sequential run's discovery order (partial-result guarantee).
-        if is_root || self.stats.budget_exhausted {
-            return;
-        }
-        // frontier-restricted runs report only groups a delta row
-        // supports — anything else was already known before the delta
-        if let Some(fr) = self.frontier {
-            if f.ins.z.is_disjoint(fr) {
-                return;
-            }
-        }
+    /// Step 7: the support, confidence, χ² and extra thresholds, then
+    /// the interestingness comparison against every more general group
+    /// accepted so far.
+    fn emit(&mut self, items: &[ItemId], z: &RowSet, sup_p: usize, sup_n: usize) -> Emit {
         if sup_p < self.params.min_sup {
-            return;
+            return Emit::Skip;
         }
         let conf = sup_p as f64 / (sup_p + sup_n) as f64;
         if conf < self.eff_min_conf {
-            return;
+            return Emit::Skip;
         }
-        if self.params.min_chi > 0.0 {
-            let chi = chi_square(Contingency::new(sup_p + sup_n, sup_p, self.n, self.m));
-            if chi < self.params.min_chi {
-                return;
-            }
-        }
-        if !self.params.extra.is_empty() {
+        if self.params.min_chi > 0.0 || !self.params.extra.is_empty() {
             let t = Contingency::new(sup_p + sup_n, sup_p, self.n, self.m);
-            for c in &self.params.extra {
-                let ok = match *c {
-                    ExtraConstraint::MinLift(v) => measures::lift(t) >= v,
-                    ExtraConstraint::MinConviction(v) => measures::conviction(t) >= v,
-                    ExtraConstraint::MinEntropyGain(v) => measures::entropy_gain(t) >= v,
-                    ExtraConstraint::MinGiniGain(v) => measures::gini_gain(t) >= v,
-                    ExtraConstraint::MinCorrelation(v) => measures::correlation(t) >= v,
-                };
-                if !ok {
-                    return;
-                }
+            if self.params.min_chi > 0.0 && chi_square(t) < self.params.min_chi {
+                return Emit::Skip;
+            }
+            let extras_met = self.params.extra.iter().all(|c| match *c {
+                ExtraConstraint::MinLift(v) => measures::lift(t) >= v,
+                ExtraConstraint::MinConviction(v) => measures::conviction(t) >= v,
+                ExtraConstraint::MinEntropyGain(v) => measures::entropy_gain(t) >= v,
+                ExtraConstraint::MinGiniGain(v) => measures::gini_gain(t) >= v,
+                ExtraConstraint::MinCorrelation(v) => measures::correlation(t) >= v,
+            });
+            if !extras_met {
+                return Emit::Skip;
             }
         }
-        let upper = IdList::from_iter(f.node.items().iter().copied());
+        let upper = IdList::from_iter(items.iter().copied());
         // Both checks probe only the buckets of this upper bound's own
         // items (see `GeneralityIndex`). A repeat discovery, reachable
         // only with pruning strategy 2 disabled, is dropped silently and
@@ -1377,22 +897,20 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> Ctx<'_, O, T> {
         let irgs = &self.irgs;
         let upper_of = |id: u32| &irgs[id as usize].upper;
         if self.accepted.contains(&upper, upper_of) {
-            return;
+            return Emit::Skip;
         }
         if !self.defer_interesting && self.accepted.has_dominator(&upper, conf, upper_of) {
-            self.stats.rejected_not_interesting += 1;
-            self.obs.pruned(PruneReason::NotInteresting);
-            return;
+            return Emit::Reject(PruneReason::NotInteresting);
         }
         self.accepted.insert(self.irgs.len() as u32, &upper, conf);
-        self.obs.group_emitted(sup_p, sup_n);
         self.irgs.push(Pending {
             upper,
-            rows: f.ins.z.clone(),
+            rows: z.clone(),
             sup_p,
             sup_n,
             conf,
         });
+        Emit::Accept
     }
 }
 

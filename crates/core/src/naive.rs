@@ -263,22 +263,22 @@ pub fn naive_lower_bounds(upper: &IdList, support_set: &RowSet, data: &Dataset) 
 }
 
 /// The items of `items` that row `r` holds: the child table
-/// `TT|X ∪ {r}` ([`BitsetNode::child`]) by definition, read from the
+/// `TT|X ∪ {r}` ([`BitsetNode::child_into`]) by definition, read from the
 /// dataset's rows.
 ///
-/// [`BitsetNode::child`]: crate::cond::BitsetNode::child
+/// [`BitsetNode::child_into`]: crate::cond::BitsetNode::child_into
 pub fn child_items(data: &Dataset, items: &[ItemId], r: RowId) -> Vec<ItemId> {
     let row = data.row(r);
     items.iter().copied().filter(|&i| row.contains(i)).collect()
 }
 
-/// A node scan ([`BitsetNode::inspect`]) by definition, read from the
+/// A node scan ([`BitsetNode::inspect_into`]) by definition, read from the
 /// dataset's rows rather than its item columns: `z` holds the rows that
 /// hold every item of `items` (all rows when `items` is empty), `u_p` and
 /// `u_n` the candidates of `e_p` and `e_n` that hold at least one item,
 /// and `max_ep_tuple` is the largest `|e_p ∩ R(i)|` over the items.
 ///
-/// [`BitsetNode::inspect`]: crate::cond::BitsetNode::inspect
+/// [`BitsetNode::inspect_into`]: crate::cond::BitsetNode::inspect_into
 pub fn node_scan(data: &Dataset, items: &[ItemId], e_p: &RowSet, e_n: &RowSet) -> Inspect {
     let holds = |r: usize, i: ItemId| data.row(r as RowId).contains(i);
     let mut out = Inspect::new(data.n_rows());

@@ -472,8 +472,7 @@ pub struct ControlState<'a> {
 impl ControlState<'_> {
     /// Counts one enumeration node; returns the cause when the run must
     /// halt. Budget and stop flag are checked every node; the deadline
-    /// every [`DEADLINE_CHECK_MASK`]` + 1` nodes (clock reads are not
-    /// free).
+    /// every 64th node (clock reads are not free).
     #[inline]
     pub fn tick(&mut self) -> Option<StopCause> {
         self.ticks += 1;

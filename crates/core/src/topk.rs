@@ -7,24 +7,21 @@
 //! samples of rules while drowning others) and is the natural input for
 //! rule-based classifiers.
 //!
-//! This module implements that problem on top of the same
-//! row-enumeration machinery as [`crate::Farmer`], with the dynamic
-//! pruning the formulation invites: as the per-row top-k heaps fill up,
-//! the worst `k`-th confidence across rows becomes a rising global
-//! confidence floor for the remaining search. "Best" means higher
-//! confidence, then higher support, then the more general (shorter)
-//! upper bound.
+//! This module runs that problem on the same row-enumeration search as
+//! [`crate::Farmer`], with its own bounds and emission, and with the
+//! dynamic pruning the formulation invites: as the per-row top-k heaps
+//! fill up, the worst `k`-th confidence across rows becomes a rising
+//! global confidence floor for the remaining search. "Best" means
+//! higher confidence, then higher support, then the more general
+//! (shorter) upper bound.
 
-use crate::cond::{BitsetNode, Table};
-use crate::miner::{Frame, NodeScratch};
+use crate::cond::Table;
 use crate::rule::{MineResult, MineStats, RuleGroup, SchedStats};
-use crate::session::{
-    ControlState, Heartbeat, MineControl, MineObserver, Miner, NoOpObserver, PruneReason, StopCause,
-};
+use crate::search::{Emit, Policy, Search};
+use crate::session::{MineControl, MineObserver, Miner, NoOpObserver, PruneReason, StopCause};
 use crate::trace::{self, NoopTracer, TraceSink};
-use farmer_dataset::{ClassLabel, Dataset, RowId};
+use farmer_dataset::{ClassLabel, Dataset, ItemId, RowId};
 use rowset::{IdList, RowSet};
-use std::time::Instant;
 
 /// One rule group as ranked by the top-k criterion.
 #[derive(Clone, Debug, PartialEq)]
@@ -145,45 +142,19 @@ where
     };
     let n = reordered.n_rows();
     let m = reordered.class_count(class);
-    let mut ctx = TopKCtx {
+    let policy = TopKPolicy {
         k,
         min_sup: min_sup.max(1),
         n,
-        m,
-        pos_mask: RowSet::from_ids(n, 0..m),
         order: &order,
         heaps: vec![Vec::new(); n],
-        ctl: ctl.state(),
-        heartbeat_every: ctl.heartbeat_every,
-        start: Instant::now(),
-        obs,
-        tracer,
-        stop: StopCause::Completed,
-        nodes_visited: 0,
-        pruned_floor: 0,
-        groups_offered: 0,
     };
-    let root = BitsetNode::root(&table);
-    let e_p = RowSet::from_ids(n, 0..m);
-    let e_n = RowSet::from_ids(n, m..n);
-    let mut scratch = NodeScratch::new(n);
-    {
-        let _enumerate = trace::span(tracer, trace::LANE_MAIN, trace::SPAN_ENUMERATE);
-        ctx.visit(
-            &mut scratch,
-            &root,
-            None,
-            &RowSet::empty(n),
-            &e_p,
-            &e_n,
-            0,
-            0,
-        );
-    }
+    let mut search = Search::new(policy, n, m, ctl, obs, tracer);
+    search.run(&table);
 
     // order original-row-major, best first
     let mut per_row: Vec<Vec<TopKGroup>> = vec![Vec::new(); n];
-    for (new_id, heap) in ctx.heaps.into_iter().enumerate() {
+    for (new_id, heap) in search.policy.heaps.into_iter().enumerate() {
         let orig = order[new_id] as usize;
         let mut groups = heap;
         groups.sort_by(|a, b| b.rank_key().partial_cmp(&a.rank_key()).expect("finite"));
@@ -191,35 +162,26 @@ where
     }
     TopKResult {
         per_row,
-        nodes_visited: ctx.nodes_visited,
-        pruned_floor: ctx.pruned_floor,
-        budget_exhausted: !ctx.stop.is_complete(),
-        stop: ctx.stop,
+        nodes_visited: search.stats.nodes_visited,
+        pruned_floor: search.stats.pruned_floor,
+        budget_exhausted: search.stats.budget_exhausted,
+        stop: search.stats.stop,
     }
 }
 
-struct TopKCtx<'a, O: MineObserver + ?Sized, T: TraceSink + ?Sized> {
+/// Top-k's part of the search: the tight support bound `Us1` and the
+/// rising confidence floor, and emission into the per-row lists.
+/// Strategies 1 and 2 are always on; the loose bounds are not used.
+struct TopKPolicy<'a> {
     k: usize,
     min_sup: usize,
     n: usize,
-    m: usize,
-    pos_mask: RowSet,
     order: &'a [RowId],
     /// Per reordered row: its current best groups (≤ k, unsorted).
     heaps: Vec<Vec<TopKGroup>>,
-    ctl: ControlState<'a>,
-    heartbeat_every: u64,
-    start: Instant,
-    obs: &'a mut O,
-    /// Statically dispatched trace sink ([`NoopTracer`] = untraced).
-    tracer: &'a T,
-    stop: StopCause,
-    nodes_visited: u64,
-    pruned_floor: u64,
-    groups_offered: usize,
 }
 
-impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> TopKCtx<'_, O, T> {
+impl TopKPolicy<'_> {
     /// The global confidence floor: the smallest `k`-th-best confidence
     /// over all rows (0 while any row's heap is unfilled). A subtree
     /// whose confidence upper bound is below the floor cannot improve
@@ -255,244 +217,37 @@ impl<O: MineObserver + ?Sized, T: TraceSink + ?Sized> TopKCtx<'_, O, T> {
             heap[worst_idx] = group.clone();
         }
     }
+}
 
-    /// Split like `Farmer`'s visit: the wrapper runs the cheap per-node
-    /// accounting, borrows a [`Frame`] holding the node's table (built
-    /// from `parent`; at the root, `parent` is the root itself) from the
-    /// scratch arena, and releases it when
-    /// [`visit_scanned`](Self::visit_scanned) returns, so steady-state
-    /// enumeration reuses pooled buffers instead of allocating per node.
-    #[allow(clippy::too_many_arguments)]
-    fn visit<'t>(
-        &mut self,
-        scratch: &mut NodeScratch<'t>,
-        parent: &BitsetNode<'t>,
-        last: Option<RowId>,
-        counted: &RowSet,
-        e_p: &RowSet,
-        e_n: &RowSet,
-        parent_sup_p: usize,
-        depth: usize,
-    ) {
-        // compile-time branch: NoopTracer keeps the hot path clock-free
-        if self.tracer.enabled() {
-            let t0 = self.tracer.now_ns();
-            self.visit_inner(
-                scratch,
-                parent,
-                last,
-                counted,
-                e_p,
-                e_n,
-                parent_sup_p,
-                depth,
-            );
-            self.tracer.duration_ns(
-                trace::LANE_MAIN,
-                trace::HIST_NODE_VISIT,
-                self.tracer.now_ns().saturating_sub(t0),
-            );
-        } else {
-            self.visit_inner(
-                scratch,
-                parent,
-                last,
-                counted,
-                e_p,
-                e_n,
-                parent_sup_p,
-                depth,
-            );
+impl Policy for TopKPolicy<'_> {
+    fn tight(&self, us1: usize, _sup_p: usize, sup_n: usize) -> Option<PruneReason> {
+        if us1 < self.min_sup {
+            return Some(PruneReason::TightSupport);
         }
+        let floor = self.floor();
+        (floor > 0.0 && (us1 as f64 / (us1 + sup_n) as f64) < floor)
+            .then_some(PruneReason::ConfidenceFloor)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn visit_inner<'t>(
-        &mut self,
-        scratch: &mut NodeScratch<'t>,
-        parent: &BitsetNode<'t>,
-        last: Option<RowId>,
-        counted: &RowSet,
-        e_p: &RowSet,
-        e_n: &RowSet,
-        parent_sup_p: usize,
-        depth: usize,
-    ) {
-        if !self.stop.is_complete() {
-            return;
+    /// Offers the node's group to every row it covers.
+    fn emit(&mut self, items: &[ItemId], z: &RowSet, sup_p: usize, sup_n: usize) -> Emit {
+        if sup_p < self.min_sup {
+            return Emit::Skip;
         }
-        self.nodes_visited += 1;
-        self.obs.node_entered(depth);
-        if let Some(cause) = self.ctl.tick() {
-            self.stop = cause;
-            return;
+        let mut support_set = RowSet::empty(self.n);
+        for r in z.iter() {
+            support_set.insert(self.order[r] as usize);
         }
-        if MineControl::heartbeat_due(self.heartbeat_every, self.nodes_visited) {
-            self.obs.heartbeat(&Heartbeat {
-                nodes_visited: self.nodes_visited,
-                groups_found: self.groups_offered,
-                elapsed: self.start.elapsed(),
-            });
+        let group = TopKGroup {
+            upper: IdList::from_iter(items.iter().copied()),
+            support_set,
+            sup: sup_p,
+            neg_sup: sup_n,
+        };
+        for r in z.iter() {
+            self.offer(&group, r);
         }
-        let mut frame = scratch.acquire(parent, last);
-        self.visit_scanned(
-            scratch,
-            &mut frame,
-            last,
-            counted,
-            e_p,
-            e_n,
-            parent_sup_p,
-            depth,
-        );
-        scratch.release(frame);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn visit_scanned<'t>(
-        &mut self,
-        scratch: &mut NodeScratch<'t>,
-        f: &mut Frame<'t>,
-        last: Option<RowId>,
-        counted: &RowSet,
-        e_p: &RowSet,
-        e_n: &RowSet,
-        parent_sup_p: usize,
-        depth: usize,
-    ) {
-        let is_root = last.is_none();
-        let last_is_pos = last.is_none_or(|r| (r as usize) < self.m);
-
-        if self.tracer.enabled() {
-            let t0 = self.tracer.now_ns();
-            f.node.inspect_into(e_p, e_n, &mut f.ins);
-            self.tracer.duration_ns(
-                trace::LANE_MAIN,
-                trace::HIST_FUSED_SCAN,
-                self.tracer.now_ns().saturating_sub(t0),
-            );
-        } else {
-            f.node.inspect_into(e_p, e_n, &mut f.ins);
-        }
-
-        // duplicate-subtree pruning, as in FARMER strategy 2
-        if !is_root {
-            let last = last.expect("non-root") as usize;
-            if f.ins
-                .z
-                .iter()
-                .take_while(|&r| r < last)
-                .any(|r| !counted.contains(r))
-            {
-                self.obs.pruned(PruneReason::Duplicate);
-                return;
-            }
-        }
-
-        let sup_p = f.ins.z.intersection_len(&self.pos_mask);
-        let sup_n = f.ins.z.len() - sup_p;
-
-        // support bound (Us1) and the rising confidence floor
-        if !is_root {
-            let us1 = if last_is_pos {
-                parent_sup_p + 1 + f.ins.max_ep_tuple
-            } else {
-                parent_sup_p
-            };
-            if us1 < self.min_sup {
-                self.obs.pruned(PruneReason::TightSupport);
-                return;
-            }
-            let floor = self.floor();
-            if floor > 0.0 {
-                let uc1 = us1 as f64 / (us1 + sup_n) as f64;
-                if uc1 < floor {
-                    self.pruned_floor += 1;
-                    self.obs.pruned(PruneReason::ConfidenceFloor);
-                    return;
-                }
-            }
-        }
-
-        // compression (strategy 1), in frame buffers: u ⊆ e makes
-        // `u \ z` equal `u \ (z ∩ e)`, and the counted update is
-        // counted ∪ (z ∩ (e_p ∪ e_n))
-        if is_root {
-            f.next_e_p.copy_from(&f.ins.u_p);
-            f.next_e_n.copy_from(&f.ins.u_n);
-            f.counted_next.copy_from(counted);
-        } else {
-            f.ins.u_p.difference_into(&f.ins.z, &mut f.next_e_p);
-            f.ins.u_n.difference_into(&f.ins.z, &mut f.next_e_n);
-            e_p.union_into(e_n, &mut f.counted_next);
-            f.counted_next.intersect_with(&f.ins.z);
-            f.counted_next.union_with(counted);
-        }
-
-        f.remaining_p.copy_from(&f.next_e_p);
-        for r in f.next_e_p.iter() {
-            if !self.stop.is_complete() {
-                break;
-            }
-            f.remaining_p.remove(r);
-            debug_assert!(!f.counted_next.contains(r));
-            f.counted_next.insert(r);
-            self.visit(
-                scratch,
-                &f.node,
-                Some(r as RowId),
-                &f.counted_next,
-                &f.remaining_p,
-                &f.next_e_n,
-                sup_p,
-                depth + 1,
-            );
-            f.counted_next.remove(r);
-        }
-        // `remaining_p` is drained by the positive sweep (or the stop
-        // check cuts the loop below first), so it serves as the negative
-        // children's empty positive candidate list
-        f.remaining_n.copy_from(&f.next_e_n);
-        for r in f.next_e_n.iter() {
-            if !self.stop.is_complete() {
-                break;
-            }
-            f.remaining_n.remove(r);
-            debug_assert!(!f.counted_next.contains(r));
-            f.counted_next.insert(r);
-            self.visit(
-                scratch,
-                &f.node,
-                Some(r as RowId),
-                &f.counted_next,
-                &f.remaining_p,
-                &f.remaining_n,
-                sup_p,
-                depth + 1,
-            );
-            f.counted_next.remove(r);
-        }
-
-        // offer this node's group to every covered row; a halted search
-        // offers nothing further (same no-emission-after-stop contract as
-        // the IRG miner)
-        if !is_root && self.stop.is_complete() && sup_p >= self.min_sup {
-            let mut support_set = RowSet::empty(self.n);
-            for r in f.ins.z.iter() {
-                support_set.insert(self.order[r] as usize);
-            }
-            let group = TopKGroup {
-                upper: IdList::from_iter(f.node.items().iter().copied()),
-                support_set,
-                sup: sup_p,
-                neg_sup: sup_n,
-            };
-            self.groups_offered += 1;
-            self.obs.group_emitted(sup_p, sup_n);
-            for r in f.ins.z.iter() {
-                self.offer(&group, r);
-            }
-        }
+        Emit::Accept
     }
 }
 

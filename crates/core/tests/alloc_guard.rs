@@ -12,7 +12,9 @@
 //!    fewer times than it visits nodes (setup, frame warm-up, and
 //!    per-emission costs only);
 //! 3. a MineLB budget: turning lower bounds on adds at most 6
-//!    allocations per accepted group.
+//!    allocations per accepted group;
+//! 4. the same whole-run budget for CARPENTER and top-k, which run on
+//!    the same search and arena.
 //!
 //! The binary is `harness = false` (see `Cargo.toml`): the libtest
 //! harness spawns threads of its own that occasionally allocate while a
@@ -20,8 +22,10 @@
 //! process-global counter to see *only* the hot path. A plain `main`
 //! keeps the whole process single-threaded and the measurement exact.
 
+use farmer_core::carpenter::carpenter;
 use farmer_core::cond::{BitsetNode, Inspect, Table};
-use farmer_core::{Farmer, MineControl, MiningParams, NoOpObserver, NoopTracer};
+use farmer_core::topk::mine_top_k_session;
+use farmer_core::{CountingObserver, Farmer, MineControl, MiningParams, NoOpObserver, NoopTracer};
 use farmer_dataset::discretize::Discretizer;
 use farmer_dataset::synth::SynthConfig;
 use farmer_support::alloc::{allocation_count, CountingAlloc};
@@ -50,6 +54,7 @@ fn main() {
     hot_path_is_allocation_free_once_warm();
     deque_paths_are_allocation_free();
     disabled_tracing_stays_allocation_free();
+    other_miners_stay_within_budget();
     println!("alloc_guard OK: hot path is allocation-free once warm");
 }
 
@@ -172,5 +177,45 @@ fn disabled_tracing_stays_allocation_free() {
         "(NoopTracer) {allocs} allocations for {} nodes \
          (budget {budget}) — disabled tracing is no longer free",
         r.stats.nodes_visited
+    );
+}
+
+/// CARPENTER and top-k share FARMER's search and its frame arena, so a
+/// whole run owes the same costs and no others: setup, frame warm-up,
+/// and a little per output — a pattern for CARPENTER, a group offered
+/// to the per-row lists for top-k. The `nodes / 10` term polices
+/// per-node allocation, as in the FARMER budget above.
+fn other_miners_stay_within_budget() {
+    let d = workload();
+    let before = allocation_count();
+    let r = carpenter(&d, 2);
+    let allocs = allocation_count() - before;
+    let patterns = r.patterns.len() as u64;
+    let budget = 300 + 4 * patterns + r.stats.nodes_visited / 10;
+    assert!(
+        allocs < budget,
+        "CARPENTER made {allocs} allocations for {} nodes and {patterns} patterns \
+         (budget {budget})",
+        r.stats.nodes_visited
+    );
+    println!(
+        "whole-run CARPENTER: {allocs} allocations for {} nodes (budget {budget})",
+        r.stats.nodes_visited
+    );
+
+    let mut obs = CountingObserver::default();
+    let before = allocation_count();
+    let r = mine_top_k_session(&d, 1, 1, 2, &MineControl::new(), &mut obs);
+    let allocs = allocation_count() - before;
+    let budget = 300 + 16 * obs.emitted + r.nodes_visited / 10;
+    assert!(
+        allocs < budget,
+        "top-k made {allocs} allocations for {} nodes and {} groups (budget {budget})",
+        r.nodes_visited,
+        obs.emitted
+    );
+    println!(
+        "whole-run top-k: {allocs} allocations for {} nodes (budget {budget})",
+        r.nodes_visited
     );
 }

@@ -87,14 +87,17 @@ fn check_scans(
     depth: usize,
 ) {
     let want = node_scan(d, node.items(), e_p, e_n);
-    assert_eq!(node.inspect(e_p, e_n), want, "scan of {:?}", node.items());
+    let mut fresh = Inspect::new(d.n_rows());
+    node.inspect_into(e_p, e_n, &mut fresh);
+    assert_eq!(fresh, want, "scan of {:?}", node.items());
     node.inspect_into(e_p, e_n, dirty);
     assert_eq!(*dirty, want, "recycled scan of {:?}", node.items());
     if depth == 0 {
         return;
     }
     for r in want.u_p.iter().chain(want.u_n.iter()) {
-        let child = node.child(r as u32);
+        let mut child = node.clone_shell();
+        node.child_into(r as u32, &mut child);
         assert_eq!(
             child.items(),
             child_items(d, node.items(), r as u32),

@@ -248,7 +248,8 @@ impl ShardedIndex {
     }
 
     /// Resolves item tokens to a sample [`IdList`] exactly as
-    /// [`RuleGroupIndex::parse_sample`] does.
+    /// [`RuleGroupIndex::parse_sample`](crate::RuleGroupIndex::parse_sample)
+    /// does.
     pub fn parse_sample<'t>(
         &self,
         tokens: impl IntoIterator<Item = &'t str>,

@@ -7,14 +7,14 @@
 //!
 //! * [`rng`] — seedable SplitMix64/xoshiro256++ PRNG with
 //!   `gen_range`, `shuffle`, and Bernoulli/choice helpers.
-//! * [`check`] — property-testing harness with generator combinators
+//! * [`check`](mod@check) — property-testing harness with generator combinators
 //!   and greedy integrated shrinking (`FARMER_CHECK_SEED` /
 //!   `FARMER_CHECK_CASES`).
 //! * [`json`] — JSON value type with serializer, pretty-printer, and
 //!   parser.
 //! * [`thread`] — scoped threads, channels, and a poison-tolerant
 //!   mutex over the standard library.
-//! * [`bench`] — criterion-lite timer for `harness = false` bench
+//! * [`bench`](mod@bench) — criterion-lite timer for `harness = false` bench
 //!   binaries (`FARMER_BENCH_SAMPLES` / `FARMER_BENCH_JSON`).
 //! * [`alloc`] — a counting global allocator for allocation-budget
 //!   tests.

@@ -219,6 +219,9 @@ cargo fmt --check
 echo "==> cargo clippy (every target; warnings are errors)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc (broken, ambiguous or private doc links are errors)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
+
 echo "==> bench smoke (1 sample, substrates + serving)"
 FARMER_BENCH_SAMPLES=1 cargo bench --offline -p farmer-bench --bench substrates
 FARMER_BENCH_SAMPLES=1 cargo bench --offline -p farmer-bench --bench serving

@@ -8,7 +8,7 @@ use farmer_suite::baselines::column_e::column_e;
 use farmer_suite::classify::pipeline::DiscretizedSplit;
 use farmer_suite::classify::{CbaClassifier, IrgClassifier, SvmClassifier, SvmConfig};
 use farmer_suite::core::carpenter::carpenter;
-use farmer_suite::core::cond::{BitsetNode, Table};
+use farmer_suite::core::cond::{BitsetNode, Inspect, Table};
 use farmer_suite::core::naive::{child_items, node_scan};
 use farmer_suite::core::{Farmer, MiningParams};
 use farmer_suite::dataset::discretize::Discretizer;
@@ -62,13 +62,16 @@ fn full_mining_pipeline() {
 /// child row. Returns the number of nodes checked.
 fn check_scans(d: &Dataset, node: &BitsetNode, e_p: &RowSet, e_n: &RowSet, depth: usize) -> usize {
     let want = node_scan(d, node.items(), e_p, e_n);
-    assert_eq!(node.inspect(e_p, e_n), want, "scan of {:?}", node.items());
+    let mut ins = Inspect::new(d.n_rows());
+    node.inspect_into(e_p, e_n, &mut ins);
+    assert_eq!(ins, want, "scan of {:?}", node.items());
     if depth == 0 {
         return 1;
     }
     let mut checked = 1;
     for r in want.u_p.iter().chain(want.u_n.iter()) {
-        let child = node.child(r as u32);
+        let mut child = node.clone_shell();
+        node.child_into(r as u32, &mut child);
         assert_eq!(
             child.items(),
             child_items(d, node.items(), r as u32),
