@@ -10,9 +10,11 @@
 //! `>= min_sup` are a superset of the rule-group upper bounds at *rule*
 //! support `>= min_sup` (rule support never exceeds itemset support),
 //! and each rule group's antecedent support set appears as exactly one
-//! closed set. Applying FARMER's interestingness filter
-//! (`irg_filter`) to those candidates therefore reproduces FARMER's
-//! output exactly; tests pin the agreement.
+//! closed set. Applying FARMER's step 7 to those candidates therefore
+//! reproduces FARMER's output exactly; tests pin the agreement.
+//! `irg_filter`, which ColumnE uses too, applies step 7 from its one
+//! home in `farmer_core`: [`Thresholds`], [`generality_order`] and
+//! [`keep_interesting`].
 //!
 //! A control-triggered stop ends the run with **no** groups — the
 //! subsumption and dominance checks are global, so a truncated
@@ -21,10 +23,10 @@
 //! count.
 
 use crate::Budgeted;
-use farmer_core::measures::{self, chi_square, Contingency};
-use farmer_core::session::{MineControl, MineObserver, PruneReason, StopCause};
+use farmer_core::session::{MineControl, MineObserver, StopCause};
 use farmer_core::{
-    minelb, ExtraConstraint, MineResult, MineStats, Miner, MiningParams, RuleGroup, SchedStats,
+    generality_order, keep_interesting, minelb, MineResult, MineStats, Miner, MiningParams,
+    RuleGroup, SchedStats, Thresholds,
 };
 use farmer_dataset::Dataset;
 use rowset::{IdList, RowSet};
@@ -44,84 +46,46 @@ fn stop_cause(ctl: &MineControl) -> StopCause {
     }
 }
 
-/// FARMER's step-7 interestingness filter over candidate rule groups
-/// given as `(upper bound, antecedent support set)` pairs.
-///
-/// Candidates are ordered by generality (fewer items first, ties by
-/// itemset order); a candidate survives iff it meets the support,
-/// confidence, χ² and extra-measure thresholds and no strictly more
-/// general survivor has confidence `>=` its own. Mirrors the filter in
-/// `farmer_core::miner` and `column_e` so all engines answer the same
-/// question.
-fn irg_filter<O: MineObserver + ?Sized>(
+/// FARMER's step 7 over candidate rule groups given as `(upper bound,
+/// antecedent support set, lower list)`: `farmer_core`'s own
+/// [`Thresholds`], [`generality_order`] and [`keep_interesting`], so
+/// every engine answers FARMER's question with FARMER's code. Each
+/// dominated candidate is counted in `stats` and reported to `obs`.
+/// Empty upper bounds, which FARMER never reports, are dropped.
+pub(crate) fn irg_filter<O: MineObserver + ?Sized>(
     data: &Dataset,
     params: &MiningParams,
-    candidates: Vec<(IdList, RowSet)>,
+    candidates: Vec<(IdList, RowSet, Vec<IdList>)>,
     obs: &mut O,
     stats: &mut MineStats,
 ) -> Vec<RuleGroup> {
     let n = data.n_rows();
     let m = data.class_count(params.target_class);
     let class_rows = data.class_rows(params.target_class);
-    let mut cands: Vec<(IdList, RowSet, usize)> = candidates
+    let thresholds = Thresholds::new(params, n, m);
+    let mut cands: Vec<_> = candidates
         .into_iter()
-        .map(|(upper, rows)| {
+        .filter_map(|(upper, rows, lower)| {
             let sup_p = rows.intersection_len(&class_rows);
-            (upper, rows, sup_p)
+            let sup_n = rows.len() - sup_p;
+            let passes = !upper.is_empty() && thresholds.accept(sup_p, sup_n).is_some();
+            passes.then_some((upper, rows, lower, sup_p, sup_n))
         })
         .collect();
-    cands.sort_by(|a, b| a.0.len().cmp(&b.0.len()).then(a.0.cmp(&b.0)));
-
-    let mut groups: Vec<RuleGroup> = Vec::new();
-    for (upper, rows, sup_p) in cands {
-        if upper.is_empty() || sup_p < params.min_sup {
-            continue;
-        }
-        let sup_n = rows.len() - sup_p;
-        let conf = sup_p as f64 / (sup_p + sup_n) as f64;
-        if conf < params.min_conf {
-            continue;
-        }
-        let t = Contingency::new(sup_p + sup_n, sup_p, n, m);
-        if params.min_chi > 0.0 && chi_square(t) < params.min_chi {
-            continue;
-        }
-        let extras_ok = params.extra.iter().all(|c| match *c {
-            ExtraConstraint::MinLift(v) => measures::lift(t) >= v,
-            ExtraConstraint::MinConviction(v) => measures::conviction(t) >= v,
-            ExtraConstraint::MinEntropyGain(v) => measures::entropy_gain(t) >= v,
-            ExtraConstraint::MinGiniGain(v) => measures::gini_gain(t) >= v,
-            ExtraConstraint::MinCorrelation(v) => measures::correlation(t) >= v,
-        });
-        if !extras_ok {
-            continue;
-        }
-        let dominated = groups.iter().any(|g| {
-            g.upper.len() < upper.len() && g.upper.is_subset(&upper) && g.confidence() >= conf
-        });
-        if dominated {
-            stats.rejected_not_interesting += 1;
-            obs.pruned(PruneReason::NotInteresting);
-            continue;
-        }
-        let lower = if params.lower_bounds {
-            minelb::mine_lower_bounds(&upper, &rows, data)
-        } else {
-            Vec::new()
-        };
-        obs.group_emitted(sup_p, sup_n);
-        groups.push(RuleGroup {
+    cands.sort_by(|a, b| generality_order(&a.0, &b.0));
+    keep_interesting(cands, |c| (&c.0, c.3, c.4), stats, obs)
+        .into_iter()
+        .map(|(upper, rows, lower, sup, neg_sup)| RuleGroup {
             upper,
             lower,
             support_set: rows,
-            sup: sup_p,
-            neg_sup: sup_n,
+            sup,
+            neg_sup,
             class: params.target_class,
             n_rows: n,
             n_class: m,
-        });
-    }
-    groups
+        })
+        .collect()
 }
 
 /// Builds the [`MineResult`] for a run the control stopped early: empty
@@ -142,7 +106,7 @@ fn halted(data: &Dataset, params: &MiningParams, ctl: &MineControl, nodes: u64) 
 }
 
 /// Builds the [`MineResult`] for a completed run from closed-set
-/// candidates.
+/// candidates, with MineLB lower bounds when `params` asks for them.
 fn completed<O: MineObserver + ?Sized>(
     data: &Dataset,
     params: &MiningParams,
@@ -154,7 +118,16 @@ fn completed<O: MineObserver + ?Sized>(
         nodes_visited: nodes,
         ..MineStats::default()
     };
-    let groups = irg_filter(data, params, candidates, obs, &mut stats);
+    let cands = candidates
+        .into_iter()
+        .map(|(u, r)| (u, r, Vec::new()))
+        .collect();
+    let mut groups = irg_filter(data, params, cands, obs, &mut stats);
+    if params.lower_bounds {
+        for g in &mut groups {
+            g.lower = minelb::mine_lower_bounds(&g.upper, &g.support_set, data);
+        }
+    }
     MineResult {
         groups,
         stats,
@@ -270,9 +243,9 @@ impl Miner for AprioriMiner {
 }
 
 /// ColumnE behind the [`Miner`] interface. ColumnE applies the FARMER
-/// filter itself, so this adapter only repackages the result. Its
-/// groups carry the *representative* itemset in `lower`, not MineLB
-/// lower bounds.
+/// filter itself, so this adapter only repackages the result and its
+/// counters. Its groups carry the *representative* itemset in `lower`,
+/// not MineLB lower bounds.
 #[derive(Clone, Debug)]
 pub struct ColumnEMiner {
     /// Full mining parameters (ColumnE honors all of them directly).
@@ -293,11 +266,7 @@ impl Miner for ColumnEMiner {
         match crate::column_e::column_e_with(data, &self.params, ctl, &mut *obs) {
             Budgeted::Done(r) => MineResult {
                 groups: r.groups,
-                stats: MineStats {
-                    nodes_visited: r.stats.nodes_visited,
-                    pruned_tight_support: r.stats.pruned_support,
-                    ..MineStats::default()
-                },
+                stats: r.stats,
                 sched: SchedStats::default(),
                 n_rows: data.n_rows(),
                 n_class: data.class_count(self.params.target_class),
@@ -348,23 +317,47 @@ mod tests {
 
     #[test]
     fn adapters_agree_with_farmer_on_paper_example() {
+        use farmer_core::ExtraConstraint::*;
         let d = paper_example();
+        // lift and conviction raise the effective min_conf (to 0.72 and
+        // 0.73 for class 0, 0.48 and 0.6 for class 1); the others are
+        // checked at emission only
+        let extras = [
+            None,
+            Some(MinLift(1.2)),
+            Some(MinConviction(1.5)),
+            Some(MinEntropyGain(0.05)),
+            Some(MinGiniGain(0.02)),
+            Some(MinCorrelation(0.3)),
+        ];
         for class in [0u32, 1] {
-            for (min_sup, min_conf) in [(1, 0.0), (2, 0.0), (1, 0.7), (2, 0.6)] {
-                let params = MiningParams::new(class)
-                    .min_sup(min_sup)
-                    .min_conf(min_conf)
-                    .lower_bounds(false);
-                let want = canon(&Farmer::new(params.clone()).mine(&d).groups);
-                for miner in all_miners(&params) {
-                    let got = miner.mine_unobserved(&d);
-                    assert_eq!(
-                        canon(&got.groups),
-                        want,
-                        "{} class={class} min_sup={min_sup} min_conf={min_conf}",
-                        miner.name()
-                    );
-                    assert!(got.stats.stop.is_complete(), "{}", miner.name());
+            for (min_sup, min_conf, min_chi) in [
+                (1, 0.0, 0.0),
+                (2, 0.0, 0.0),
+                (1, 0.7, 0.0),
+                (2, 0.6, 0.0),
+                (1, 0.0, 1.0),
+                (1, 0.5, 0.5),
+            ] {
+                for extra in extras {
+                    let mut params = MiningParams::new(class)
+                        .min_sup(min_sup)
+                        .min_conf(min_conf)
+                        .min_chi(min_chi)
+                        .lower_bounds(false);
+                    params.extra.extend(extra);
+                    let want = canon(&Farmer::new(params.clone()).mine(&d).groups);
+                    for miner in all_miners(&params) {
+                        let got = miner.mine_unobserved(&d);
+                        assert_eq!(
+                            canon(&got.groups),
+                            want,
+                            "{} class={class} min_sup={min_sup} min_conf={min_conf} \
+                             min_chi={min_chi} extra={extra:?}",
+                            miner.name()
+                        );
+                        assert!(got.stats.stop.is_complete(), "{}", miner.name());
+                    }
                 }
             }
         }
@@ -405,6 +398,13 @@ mod tests {
             let r = miner.mine_with(&d, &MineControl::new(), &mut obs);
             assert_eq!(obs.emitted as usize, r.groups.len(), "{}", miner.name());
             assert!(obs.nodes > 0, "{}", miner.name());
+            assert!(obs.rejected_not_interesting > 0, "{}", miner.name());
+            assert_eq!(
+                r.stats.rejected_not_interesting,
+                obs.rejected_not_interesting,
+                "{}",
+                miner.name()
+            );
         }
     }
 }

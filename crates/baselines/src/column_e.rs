@@ -7,34 +7,26 @@
 //! *column* enumeration. The miner walks the set-enumeration tree over
 //! items in ascending id order, maintaining tidsets, pruning subtrees by
 //! the anti-monotone rule-support bound, grouping discovered rules by
-//! antecedent support set (the rule groups), and finally applying the
-//! identical interesting-group filter FARMER uses, so that both miners
-//! answer exactly the same question and only the enumeration direction
-//! differs.
+//! antecedent support set (the rule groups), and finally applying
+//! FARMER's own step 7 (`farmer_core`'s [`Thresholds`], generality
+//! order and dominance filter, through the same wrapper the closed-set
+//! adapters use), so that both miners answer exactly the same question
+//! and only the enumeration direction differs.
+//!
+//! [`Thresholds`]: farmer_core::Thresholds
 //!
 //! On microarray-shaped data the itemset lattice under any useful
 //! support threshold is astronomically large — the paper reports runs
 //! exceeding a day — so the walk takes a node budget and reports
 //! exhaustion instead of hanging (see [`Budgeted`]).
 
+use crate::adapters::irg_filter;
 use crate::Budgeted;
-use farmer_core::measures::{self, chi_square, Contingency};
 use farmer_core::session::{ControlState, MineControl, MineObserver, NoOpObserver, PruneReason};
-use farmer_core::{ExtraConstraint, MiningParams, RuleGroup};
+use farmer_core::{MineStats, MiningParams, RuleGroup};
 use farmer_dataset::Dataset;
 use rowset::{IdList, RowSet};
 use std::collections::HashMap;
-
-/// Search counters for a ColumnE run.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ColumnEStats {
-    /// Itemset nodes visited.
-    pub nodes_visited: u64,
-    /// Subtrees cut by the support bound.
-    pub pruned_support: u64,
-    /// Distinct rule groups (antecedent support sets) encountered.
-    pub groups_found: u64,
-}
 
 /// Result of [`column_e`].
 #[derive(Clone, Debug)]
@@ -46,8 +38,11 @@ pub struct ColumnEResult {
     /// representative is stored in `RuleGroup::lower` as a single entry,
     /// while `upper` holds the closure for comparability with FARMER.
     pub groups: Vec<RuleGroup>,
-    /// Search counters.
-    pub stats: ColumnEStats,
+    /// Search counters: itemset nodes visited, subtrees cut by the
+    /// support bound (`pruned_tight_support`) and threshold-passing
+    /// groups a more general one dominates
+    /// (`rejected_not_interesting`).
+    pub stats: MineStats,
 }
 
 /// Mines interesting rule groups by column enumeration.
@@ -72,7 +67,6 @@ pub fn column_e_with<O: MineObserver + ?Sized>(
     obs: &mut O,
 ) -> Budgeted<ColumnEResult> {
     let n = data.n_rows();
-    let m = data.class_count(params.target_class);
     let class_rows = data.class_rows(params.target_class);
 
     // frequent single items under the rule-support bound |R({i}) ∩ C|
@@ -87,7 +81,7 @@ pub fn column_e_with<O: MineObserver + ?Sized>(
         st: ctl.state(),
         obs,
         frequent: &frequent,
-        stats: ColumnEStats::default(),
+        stats: MineStats::default(),
         by_rows: HashMap::new(),
     };
     let full = RowSet::full(n);
@@ -96,71 +90,18 @@ pub fn column_e_with<O: MineObserver + ?Sized>(
             nodes: ctx.stats.nodes_visited,
         };
     }
-    let obs = ctx.obs;
-
-    // assemble rule groups and apply the FARMER interestingness filter
-    let mut found: Vec<(IdList, IdList, RowSet, usize)> = ctx
+    // the rule groups, each with its representative, through FARMER's
+    // step 7
+    let found = ctx
         .by_rows
         .into_iter()
         .map(|(key, rep)| {
             let rows = RowSet::from_ids(n, key.iter().copied());
-            let upper = data.items_common_to(&rows);
-            let sup_p = rows.intersection_len(&class_rows);
-            (upper, rep, rows, sup_p)
+            (data.items_common_to(&rows), rows, vec![rep])
         })
         .collect();
-    let stats = ColumnEStats {
-        groups_found: found.len() as u64,
-        ..ctx.stats
-    };
-    // generality order, as in FARMER's step 7 / the naive oracle
-    found.sort_by(|a, b| a.0.len().cmp(&b.0.len()).then(a.0.cmp(&b.0)));
-
-    let mut groups: Vec<RuleGroup> = Vec::new();
-    for (upper, rep, rows, sup_p) in found {
-        if sup_p < params.min_sup {
-            continue;
-        }
-        let sup_n = rows.len() - sup_p;
-        let conf = sup_p as f64 / (sup_p + sup_n) as f64;
-        if conf < params.min_conf {
-            continue;
-        }
-        if params.min_chi > 0.0
-            && chi_square(Contingency::new(sup_p + sup_n, sup_p, n, m)) < params.min_chi
-        {
-            continue;
-        }
-        let t = Contingency::new(sup_p + sup_n, sup_p, n, m);
-        let extras_ok = params.extra.iter().all(|c| match *c {
-            ExtraConstraint::MinLift(v) => measures::lift(t) >= v,
-            ExtraConstraint::MinConviction(v) => measures::conviction(t) >= v,
-            ExtraConstraint::MinEntropyGain(v) => measures::entropy_gain(t) >= v,
-            ExtraConstraint::MinGiniGain(v) => measures::gini_gain(t) >= v,
-            ExtraConstraint::MinCorrelation(v) => measures::correlation(t) >= v,
-        });
-        if !extras_ok {
-            continue;
-        }
-        let dominated = groups.iter().any(|g| {
-            g.upper.len() < upper.len() && g.upper.is_subset(&upper) && g.confidence() >= conf
-        });
-        if dominated {
-            obs.pruned(PruneReason::NotInteresting);
-            continue;
-        }
-        obs.group_emitted(sup_p, sup_n);
-        groups.push(RuleGroup {
-            upper,
-            lower: vec![rep],
-            support_set: rows,
-            sup: sup_p,
-            neg_sup: sup_n,
-            class: params.target_class,
-            n_rows: n,
-            n_class: m,
-        });
-    }
+    let mut stats = ctx.stats;
+    let groups = irg_filter(data, params, found, ctx.obs, &mut stats);
     Budgeted::Done(ColumnEResult { groups, stats })
 }
 
@@ -171,7 +112,7 @@ struct WalkCtx<'a, O: MineObserver + ?Sized> {
     st: ControlState<'a>,
     obs: &'a mut O,
     frequent: &'a [u32],
-    stats: ColumnEStats,
+    stats: MineStats,
     /// antecedent support set → first (representative) itemset reaching it
     by_rows: HashMap<Vec<usize>, IdList>,
 }
@@ -189,7 +130,7 @@ impl<O: MineObserver + ?Sized> WalkCtx<'_, O> {
             let child_rows = rows.intersection(self.data.item_rows(i));
             // anti-monotone bound: rule support can only shrink
             if child_rows.intersection_len(self.class_rows) < self.min_sup {
-                self.stats.pruned_support += 1;
+                self.stats.pruned_tight_support += 1;
                 self.obs.pruned(PruneReason::TightSupport);
                 continue;
             }

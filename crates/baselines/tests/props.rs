@@ -6,7 +6,7 @@ use farmer_baselines::charm::charm;
 use farmer_baselines::closet::closet;
 use farmer_baselines::column_e::column_e;
 use farmer_core::carpenter::carpenter;
-use farmer_core::{Farmer, MiningParams};
+use farmer_core::{ExtraConstraint, Farmer, MiningParams};
 use farmer_dataset::{Dataset, DatasetBuilder};
 use farmer_support::check::prelude::*;
 use std::collections::HashSet;
@@ -90,18 +90,30 @@ check! {
         }
     }
 
-    /// ColumnE and FARMER mine identical interesting rule groups.
+    /// ColumnE and FARMER mine identical interesting rule groups, under
+    /// χ² and each footnote-3 extra too.
     #[test]
     fn column_e_agrees_with_farmer(
         d in arb_dataset(),
         class in 0u32..2,
         min_sup in 1usize..3,
         conf_pct in select(vec![0usize, 60]),
+        min_chi in select(vec![0.0, 0.0, 1.0]),
+        extra in select(vec![
+            None,
+            Some(ExtraConstraint::MinLift(1.2)),
+            Some(ExtraConstraint::MinConviction(1.5)),
+            Some(ExtraConstraint::MinEntropyGain(0.05)),
+            Some(ExtraConstraint::MinGiniGain(0.02)),
+            Some(ExtraConstraint::MinCorrelation(0.3)),
+        ]),
     ) {
-        let params = MiningParams::new(class)
+        let mut params = MiningParams::new(class)
             .min_sup(min_sup)
             .min_conf(conf_pct as f64 / 100.0)
+            .min_chi(min_chi)
             .lower_bounds(false);
+        params.extra.extend(extra);
         let farmer = Farmer::new(params.clone()).mine(&d);
         let cole = column_e(&d, &params, None).expect_done("small data");
         let canon = |gs: &[farmer_core::RuleGroup]| -> HashSet<(Vec<u32>, usize, usize)> {

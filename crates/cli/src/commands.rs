@@ -731,13 +731,13 @@ fn topk(a: TopKArgs, out: &mut dyn Write) -> Result<()> {
     writeln!(
         out,
         "top-{} covering rule groups per row ({} nodes visited)",
-        a.k, result.nodes_visited
+        a.k, result.stats.nodes_visited
     )?;
-    if !result.stop.is_complete() {
+    if !result.stats.stop.is_complete() {
         writeln!(
             out,
             "search stopped early ({}); coverage below may be incomplete",
-            result.stop.as_str()
+            result.stats.stop.as_str()
         )?;
     }
     for (r, groups) in result.per_row.iter().enumerate() {

@@ -57,8 +57,10 @@
 //!   enumeration;
 //! * [`session`] — budgets, deadlines, cancellation and observers;
 //! * [`trace`] — phase spans, counters and latency histograms;
-//! * [`GeneralityIndex`] — the accepted-group index behind step 7's
-//!   interestingness check.
+//! * [`Thresholds`], [`generality_order`] and [`keep_interesting`] —
+//!   step 7, the definition of an interesting rule group, which FARMER,
+//!   the streaming pipeline and the column-enumeration baselines all
+//!   apply, with [`GeneralityIndex`] finding the more general groups.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -73,13 +75,13 @@ pub mod session;
 pub mod topk;
 pub mod trace;
 
-mod generality;
+mod interesting;
 mod miner;
 mod params;
 mod rule;
 mod search;
 
-pub use generality::GeneralityIndex;
+pub use interesting::{generality_order, keep_interesting, GeneralityIndex, Thresholds};
 pub use miner::Farmer;
 pub use params::{Engine, ExtraConstraint, MiningParams, PruningConfig};
 pub use rule::{canonical_sort, dump_groups, MineResult, MineStats, RuleGroup, SchedStats};

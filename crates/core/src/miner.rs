@@ -1,8 +1,8 @@
 //! The FARMER search: depth-first row enumeration with pruning.
 
 use crate::cond::{BitsetNode, Inspect, Table};
-use crate::generality::GeneralityIndex;
-use crate::measures::{self, chi_square, chi_square_upper_bound, convex_upper_bound, Contingency};
+use crate::interesting::{generality_order, keep_interesting, GeneralityIndex, Thresholds};
+use crate::measures::{self, chi_square_upper_bound, convex_upper_bound, Contingency};
 use crate::minelb::mine_lower_bounds;
 use crate::params::{ExtraConstraint, MiningParams, PruningConfig};
 use crate::rule::{MineResult, MineStats, RuleGroup, SchedStats};
@@ -272,11 +272,8 @@ impl Farmer {
         T: TraceSink + ?Sized,
     {
         let policy = IrgPolicy {
-            params: &self.params,
             pruning: &self.pruning,
-            n,
-            m,
-            eff_min_conf: self.params.effective_min_conf(n, m),
+            thresholds: Thresholds::new(&self.params, n, m),
             irgs: Vec::new(),
             accepted: GeneralityIndex::new(),
             defer_interesting: self.harvest,
@@ -303,8 +300,8 @@ impl Farmer {
     /// claimant replays the child's exact recursion state from the
     /// shared root scan — the visited-node multiset is identical to the
     /// unsplit run, so [`MineStats`] stay deterministic.
-    /// Threshold-passing groups are merged and the interestingness
-    /// filter runs as a final pass (equivalent to step 7 by Lemma 3.4);
+    /// Threshold-passing groups are merged and [`keep_interesting`]
+    /// runs step 7 over them as a final pass (equivalent by Lemma 3.4);
     /// for complete runs the merged output and [`MineStats`] are
     /// deterministic regardless of scheduling. The workers run
     /// uninstrumented (their `MineStats`
@@ -584,32 +581,18 @@ impl Farmer {
         // generality order; a group found by two workers (only possible
         // with strategy 2 off) sorts next to itself, and its copies are
         // identical, so keeping any one is exact
-        pendings.sort_unstable_by(|a, b| {
-            a.upper
-                .len()
-                .cmp(&b.upper.len())
-                .then_with(|| a.upper.cmp(&b.upper))
-        });
-        pendings.dedup_by(|a, b| a.upper == b.upper);
-
-        // final interestingness pass: keep a group iff no accepted
-        // more-general group has confidence >= its own
-        let mut accepted: Vec<Pending> = Vec::new();
-        let mut index = GeneralityIndex::new();
-        for p in pendings {
+        pendings.sort_unstable_by(|a, b| generality_order(&a.upper, &b.upper));
+        let accepted = if self.harvest {
             // harvest mode returns the full threshold-passing set; the
             // caller owns the interestingness comparison
-            let dominated = !self.harvest
-                && index.has_dominator(&p.upper, p.conf, |id| &accepted[id as usize].upper);
-            if dominated {
-                stats.rejected_not_interesting += 1;
-                obs.pruned(PruneReason::NotInteresting);
-            } else {
+            pendings.dedup_by(|a, b| a.upper == b.upper);
+            for p in &pendings {
                 obs.group_emitted(p.sup_p, p.sup_n);
-                index.insert(accepted.len() as u32, &p.upper, p.conf);
-                accepted.push(p);
             }
-        }
+            pendings
+        } else {
+            keep_interesting(pendings, |p| (&p.upper, p.sup_p, p.sup_n), &mut stats, obs)
+        };
         drop(_merge);
         self.package(accepted, stats, sched, reordered, order, n, m, tracer)
     }
@@ -748,19 +731,14 @@ struct Pending {
     rows: RowSet,
     sup_p: usize,
     sup_n: usize,
-    conf: f64,
 }
 
 /// FARMER's part of the search: the loose and tight bounds of pruning
-/// strategy 3, step 7's thresholds and interestingness check, and the
-/// parallel split.
+/// strategy 3, step 7's interestingness check, and the parallel split.
 struct IrgPolicy<'a> {
-    params: &'a MiningParams,
     pruning: &'a PruningConfig,
-    n: usize,
-    m: usize,
-    /// `min_conf` tightened by any lift/conviction extras.
-    eff_min_conf: f64,
+    /// Step 7's thresholds, which the bounds read too.
+    thresholds: Thresholds<'a>,
     irgs: Vec<Pending>,
     /// `irgs` keyed for step 7, ids being positions in `irgs`.
     accepted: GeneralityIndex,
@@ -798,37 +776,38 @@ impl Policy for IrgPolicy<'_> {
             parent_sup_p
         };
         let supn_in = parent_sup_n + usize::from(!last_is_pos);
-        let cut = us2 < self.params.min_sup
-            || (self.eff_min_conf > 0.0
-                && (us2 as f64 / (us2 + supn_in) as f64) < self.eff_min_conf);
+        let t = &self.thresholds;
+        let cut = us2 < t.min_sup
+            || (t.min_conf > 0.0 && (us2 as f64 / (us2 + supn_in) as f64) < t.min_conf);
         cut.then_some(PruneReason::LooseBound)
     }
 
     /// Strategy 3's tight bounds (step 4): `Us1`, `Uc1`, the χ² upper
     /// bound, and the convexity bounds of the footnote-3 extras (lift
-    /// and conviction already act through `eff_min_conf`).
+    /// and conviction already act through the effective `min_conf`).
     fn tight(&self, us1: usize, sup_p: usize, sup_n: usize) -> Option<PruneReason> {
         if !self.pruning.strategy3_tight {
             return None;
         }
-        if us1 < self.params.min_sup {
+        let th = &self.thresholds;
+        if us1 < th.min_sup {
             return Some(PruneReason::TightSupport);
         }
-        if self.eff_min_conf > 0.0 && (us1 as f64 / (us1 + sup_n) as f64) < self.eff_min_conf {
+        if th.min_conf > 0.0 && (us1 as f64 / (us1 + sup_n) as f64) < th.min_conf {
             return Some(PruneReason::TightConfidence);
         }
-        if self.params.min_chi <= 0.0 && self.params.extra.is_empty() {
+        if th.min_chi <= 0.0 && th.extra.is_empty() {
             return None;
         }
-        let t = Contingency::new(sup_p + sup_n, sup_p, self.n, self.m);
-        let chi_cut = self.params.min_chi > 0.0 && chi_square_upper_bound(t) < self.params.min_chi;
-        let extra_cut = self.params.extra.iter().any(|c| match *c {
+        let t = Contingency::new(sup_p + sup_n, sup_p, th.n, th.m);
+        let chi_cut = th.min_chi > 0.0 && chi_square_upper_bound(t) < th.min_chi;
+        let extra_cut = th.extra.iter().any(|c| match *c {
             ExtraConstraint::MinEntropyGain(v) => convex_upper_bound(measures::entropy_gain, t) < v,
             ExtraConstraint::MinGiniGain(v) => convex_upper_bound(measures::gini_gain, t) < v,
             // φ = ±sqrt(χ²/n) pointwise, so the χ² bound caps the
             // reachable positive correlation
             ExtraConstraint::MinCorrelation(v) if v > 0.0 => {
-                (chi_square_upper_bound(t) / self.n.max(1) as f64).sqrt() < v
+                (chi_square_upper_bound(t) / th.n.max(1) as f64).sqrt() < v
             }
             _ => false,
         });
@@ -859,33 +838,12 @@ impl Policy for IrgPolicy<'_> {
         }
     }
 
-    /// Step 7: the support, confidence, χ² and extra thresholds, then
-    /// the interestingness comparison against every more general group
-    /// accepted so far.
+    /// Step 7: the thresholds, then the interestingness comparison
+    /// against every more general group accepted so far.
     fn emit(&mut self, items: &[ItemId], z: &RowSet, sup_p: usize, sup_n: usize) -> Emit {
-        if sup_p < self.params.min_sup {
+        let Some(conf) = self.thresholds.accept(sup_p, sup_n) else {
             return Emit::Skip;
-        }
-        let conf = sup_p as f64 / (sup_p + sup_n) as f64;
-        if conf < self.eff_min_conf {
-            return Emit::Skip;
-        }
-        if self.params.min_chi > 0.0 || !self.params.extra.is_empty() {
-            let t = Contingency::new(sup_p + sup_n, sup_p, self.n, self.m);
-            if self.params.min_chi > 0.0 && chi_square(t) < self.params.min_chi {
-                return Emit::Skip;
-            }
-            let extras_met = self.params.extra.iter().all(|c| match *c {
-                ExtraConstraint::MinLift(v) => measures::lift(t) >= v,
-                ExtraConstraint::MinConviction(v) => measures::conviction(t) >= v,
-                ExtraConstraint::MinEntropyGain(v) => measures::entropy_gain(t) >= v,
-                ExtraConstraint::MinGiniGain(v) => measures::gini_gain(t) >= v,
-                ExtraConstraint::MinCorrelation(v) => measures::correlation(t) >= v,
-            });
-            if !extras_met {
-                return Emit::Skip;
-            }
-        }
+        };
         let upper = IdList::from_iter(items.iter().copied());
         // Both checks probe only the buckets of this upper bound's own
         // items (see `GeneralityIndex`). A repeat discovery, reachable
@@ -908,7 +866,6 @@ impl Policy for IrgPolicy<'_> {
             rows: z.clone(),
             sup_p,
             sup_n,
-            conf,
         });
         Emit::Accept
     }

@@ -6,8 +6,9 @@ use farmer_dataset::ClassLabel;
 /// ("other constraints such as lift, conviction, entropy gain, gini and
 /// correlation coefficient can be handled similarly").
 ///
-/// Each constraint is both *checked at emission* and *used for pruning*
-/// with a sound upper bound: lift and conviction are monotone
+/// Each constraint is both *checked at emission*
+/// ([`Thresholds`](crate::Thresholds)) and *used for pruning* with a
+/// sound upper bound: lift and conviction are monotone
 /// transformations of confidence (given the fixed class margin), so they
 /// tighten the effective minimum confidence; entropy gain and gini gain
 /// are convex in the contingency counts, so the Morishita–Sese
@@ -94,35 +95,6 @@ impl MiningParams {
     pub fn constrain(mut self, c: ExtraConstraint) -> Self {
         self.extra.push(c);
         self
-    }
-
-    /// The confidence floor the search actually enforces for a dataset
-    /// with `n_rows` rows of which `n_class` carry the target class:
-    /// `min_conf` tightened by any [`ExtraConstraint::MinLift`] /
-    /// [`ExtraConstraint::MinConviction`] extras, which are monotone
-    /// transformations of confidence once the class margin
-    /// `p_c = n_class / n_rows` is fixed.
-    ///
-    /// Exposed so out-of-tree re-filters (the streaming pipeline's
-    /// assembly pass re-screens cached groups after the margins moved)
-    /// apply exactly the emission test the miner would.
-    pub fn effective_min_conf(&self, n_rows: usize, n_class: usize) -> f64 {
-        let mut eff = self.min_conf;
-        if n_rows > 0 {
-            let p_c = n_class as f64 / n_rows as f64;
-            for c in &self.extra {
-                match *c {
-                    ExtraConstraint::MinLift(l) => {
-                        eff = eff.max((l * p_c).min(1.0));
-                    }
-                    ExtraConstraint::MinConviction(v) if v > 0.0 => {
-                        eff = eff.max((1.0 - (1.0 - p_c) / v).clamp(0.0, 1.0));
-                    }
-                    _ => {}
-                }
-            }
-        }
-        eff
     }
 
     /// Checks the parameters for values the builders would reject (or

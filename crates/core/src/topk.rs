@@ -16,9 +16,10 @@
 //! (shorter) upper bound.
 
 use crate::cond::Table;
+use crate::interesting::generality_order;
 use crate::rule::{MineResult, MineStats, RuleGroup, SchedStats};
 use crate::search::{Emit, Policy, Search};
-use crate::session::{MineControl, MineObserver, Miner, NoOpObserver, PruneReason, StopCause};
+use crate::session::{MineControl, MineObserver, Miner, NoOpObserver, PruneReason};
 use crate::trace::{self, NoopTracer, TraceSink};
 use farmer_dataset::{ClassLabel, Dataset, ItemId, RowId};
 use rowset::{IdList, RowSet};
@@ -60,16 +61,15 @@ pub struct TopKResult {
     /// `per_row[r]` = the top groups covering original row `r`, best
     /// first.
     pub per_row: Vec<Vec<TopKGroup>>,
-    /// Enumeration nodes visited.
-    pub nodes_visited: u64,
-    /// Subtrees cut by the rising confidence floor.
-    pub pruned_floor: u64,
-    /// `true` iff the search stopped early (budget, deadline, or
-    /// cancellation) — per-row lists are then best-effort (still valid
-    /// groups, rankings may miss undiscovered better ones).
-    pub budget_exhausted: bool,
-    /// What ended the run.
-    pub stop: StopCause,
+    /// The search's counters: nodes visited, every cut by its reason
+    /// (the rising confidence floor's in `pruned_floor`) and rows
+    /// compressed. When `stats.stop` says the search stopped early
+    /// (budget, deadline, or cancellation), the per-row lists are
+    /// best-effort: still valid groups, but the rankings may miss
+    /// undiscovered better ones.
+    pub stats: MineStats,
+    /// Deepest number of recursion frames the search held at once.
+    pub peak_arena_depth: usize,
 }
 
 /// Mines, for each row of `data`, the `k` best rule groups with
@@ -104,7 +104,7 @@ pub fn mine_top_k(data: &Dataset, class: ClassLabel, k: usize, min_sup: usize) -
 /// cancellation), reporting progress to a [`MineObserver`]. Once the
 /// control halts the run, no further groups are offered to the per-row
 /// heaps; the lists returned are best-effort and
-/// [`TopKResult::stop`] records why the run ended.
+/// [`TopKResult::stats`] records why the run ended.
 pub fn mine_top_k_session<O: MineObserver + ?Sized>(
     data: &Dataset,
     class: ClassLabel,
@@ -150,7 +150,7 @@ where
         heaps: vec![Vec::new(); n],
     };
     let mut search = Search::new(policy, n, m, ctl, obs, tracer);
-    search.run(&table);
+    let peak_arena_depth = search.run(&table);
 
     // order original-row-major, best first
     let mut per_row: Vec<Vec<TopKGroup>> = vec![Vec::new(); n];
@@ -162,10 +162,8 @@ where
     }
     TopKResult {
         per_row,
-        nodes_visited: search.stats.nodes_visited,
-        pruned_floor: search.stats.pruned_floor,
-        budget_exhausted: search.stats.budget_exhausted,
-        stop: search.stats.stop,
+        stats: search.stats,
+        peak_arena_depth,
     }
 }
 
@@ -253,7 +251,8 @@ impl Policy for TopKPolicy<'_> {
 
 /// [`Miner`]-trait adapter over [`mine_top_k_session`]: the distinct
 /// groups appearing in any per-row top-k list, deduplicated by upper
-/// bound and sorted by `(|upper|, upper)`, reported as a [`MineResult`].
+/// bound and in [`generality_order`], reported as a [`MineResult`] with
+/// the search's counters.
 #[derive(Clone, Debug)]
 pub struct TopKMiner {
     /// The consequent class.
@@ -270,18 +269,10 @@ impl TopKMiner {
     fn package(&self, data: &Dataset, res: TopKResult) -> MineResult {
         let n = data.n_rows();
         let m = data.class_count(self.class);
-        let mut by_upper: std::collections::BTreeMap<Vec<u32>, &TopKGroup> =
-            std::collections::BTreeMap::new();
-        for g in res.per_row.iter().flatten() {
-            by_upper.entry(g.upper.as_slice().to_vec()).or_insert(g);
-        }
-        let mut groups: Vec<&TopKGroup> = by_upper.into_values().collect();
-        groups.sort_by(|a, b| {
-            a.upper
-                .len()
-                .cmp(&b.upper.len())
-                .then_with(|| a.upper.cmp(&b.upper))
-        });
+        // copies of one upper bound are one group, so any copy will do
+        let mut groups: Vec<&TopKGroup> = res.per_row.iter().flatten().collect();
+        groups.sort_by(|a, b| generality_order(&a.upper, &b.upper));
+        groups.dedup_by(|a, b| a.upper == b.upper);
         MineResult {
             groups: groups
                 .into_iter()
@@ -296,18 +287,12 @@ impl TopKMiner {
                     n_class: m,
                 })
                 .collect(),
-            stats: MineStats {
-                nodes_visited: res.nodes_visited,
-                pruned_floor: res.pruned_floor,
-                budget_exhausted: res.budget_exhausted,
-                stop: res.stop,
-                ..Default::default()
-            },
             sched: SchedStats {
                 steals: 0,
-                worker_nodes: vec![res.nodes_visited],
-                peak_arena_depth: 0,
+                worker_nodes: vec![res.stats.nodes_visited],
+                peak_arena_depth: res.peak_arena_depth,
             },
+            stats: res.stats,
             n_rows: n,
             n_class: m,
         }
@@ -449,9 +434,37 @@ mod tests {
         }
         let d = b.build();
         let res = mine_top_k(&d, 0, 1, 1);
-        assert!(res.nodes_visited > 0);
+        assert!(res.stats.nodes_visited > 0);
         // every row has at least one covering group: items 0,1 cover all
         assert!(res.per_row.iter().all(|v| !v.is_empty()));
+    }
+
+    #[test]
+    fn miner_reports_the_search_tally() {
+        let mut b = DatasetBuilder::new(2);
+        for i in 0..8u32 {
+            b.add_row([0, 1, i + 2], u32::from(i >= 4));
+        }
+        let d = b.build();
+        let miner = TopKMiner {
+            class: 0,
+            k: 1,
+            min_sup: 1,
+        };
+        let mut obs = crate::CountingObserver::default();
+        let r = miner.mine_with(&d, &MineControl::new(), &mut obs);
+        assert_eq!(r.stats.nodes_visited, obs.nodes);
+        let mut cuts = 0;
+        for reason in PruneReason::ALL {
+            assert_eq!(
+                r.stats.pruned_count(reason),
+                obs.pruned_count(reason),
+                "{reason:?}"
+            );
+            cuts += obs.pruned_count(reason);
+        }
+        assert!(cuts > 0, "the workload makes no cut");
+        assert!(r.sched.peak_arena_depth >= 1);
     }
 
     #[test]

@@ -207,15 +207,15 @@ fn other_miners_stay_within_budget() {
     let before = allocation_count();
     let r = mine_top_k_session(&d, 1, 1, 2, &MineControl::new(), &mut obs);
     let allocs = allocation_count() - before;
-    let budget = 300 + 16 * obs.emitted + r.nodes_visited / 10;
+    let budget = 300 + 16 * obs.emitted + r.stats.nodes_visited / 10;
     assert!(
         allocs < budget,
         "top-k made {allocs} allocations for {} nodes and {} groups (budget {budget})",
-        r.nodes_visited,
+        r.stats.nodes_visited,
         obs.emitted
     );
     println!(
         "whole-run top-k: {allocs} allocations for {} nodes (budget {budget})",
-        r.nodes_visited
+        r.stats.nodes_visited
     );
 }

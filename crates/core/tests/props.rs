@@ -10,7 +10,10 @@ use farmer_core::naive::{
     child_items, enumerate_rule_groups, mine_naive, naive_lower_bounds, node_scan,
 };
 use farmer_core::topk::mine_top_k;
-use farmer_core::{canonical_sort, dump_groups, Farmer, GeneralityIndex, MiningParams, RuleGroup};
+use farmer_core::{
+    canonical_sort, dump_groups, generality_order, keep_interesting, CountingObserver, Farmer,
+    GeneralityIndex, MineStats, MiningParams, RuleGroup,
+};
 use farmer_dataset::{Dataset, DatasetBuilder};
 use farmer_support::check::prelude::*;
 use rowset::{IdList, RowSet};
@@ -287,6 +290,48 @@ check! {
             }
             seen.push(upper);
         }
+    }
+
+    /// `keep_interesting` keeps exactly what a linear scan of the kept
+    /// groups keeps, over candidates in generality order with repeated
+    /// upper bounds, nested chains and confidence ties, and counts and
+    /// reports every rejection.
+    #[test]
+    fn keep_interesting_equals_linear_filter(script in arb_index_script(), counts in collection::vec((1usize..5, 0usize..4), 60)) {
+        let mut seen = vec![IdList::new()];
+        let mut cands: Vec<(IdList, usize, usize)> = Vec::new();
+        for ((kind, base, extra, _), (sup_p, sup_n)) in script.into_iter().zip(counts) {
+            let extra = IdList::from_iter(extra);
+            let upper = match kind {
+                0 => extra,
+                _ => seen[base % seen.len()].union(&extra),
+            };
+            seen.push(upper.clone());
+            cands.push((upper, sup_p, sup_n));
+        }
+        cands.sort_by(|a, b| generality_order(&a.0, &b.0));
+        let conf = |c: &(IdList, usize, usize)| c.1 as f64 / (c.1 + c.2) as f64;
+        let mut want: Vec<(IdList, usize, usize)> = Vec::new();
+        let mut rejected = 0;
+        for (i, c) in cands.iter().enumerate() {
+            if i > 0 && cands[i - 1].0 == c.0 {
+                continue;
+            }
+            let dominated = want
+                .iter()
+                .any(|a| a.0.len() < c.0.len() && a.0.is_subset(&c.0) && conf(a) >= conf(c));
+            if dominated {
+                rejected += 1;
+            } else {
+                want.push(c.clone());
+            }
+        }
+        let (mut stats, mut obs) = (MineStats::default(), CountingObserver::default());
+        let got = keep_interesting(cands, |c| (&c.0, c.1, c.2), &mut stats, &mut obs);
+        prop_assert_eq!(&got, &want);
+        prop_assert_eq!(stats.rejected_not_interesting, rejected);
+        prop_assert_eq!(obs.rejected_not_interesting, rejected);
+        prop_assert_eq!(obs.emitted as usize, want.len());
     }
 
     /// A frontier run (`Farmer::with_frontier`) returns exactly the cold

@@ -28,10 +28,10 @@
 //! partition the closed set, so replacing the touched entries with the
 //! restricted harvest restores the invariant.
 
-use farmer_core::measures::{self, chi_square, Contingency};
 use farmer_core::minelb::mine_lower_bounds;
 use farmer_core::{
-    canonical_sort, Engine, ExtraConstraint, Farmer, GeneralityIndex, MiningParams, RuleGroup,
+    canonical_sort, generality_order, keep_interesting, Engine, Farmer, MineStats, MiningParams,
+    NoOpObserver, RuleGroup, Thresholds,
 };
 use farmer_dataset::{ClassLabel, Dataset};
 use rowset::{IdList, RowSet};
@@ -58,18 +58,13 @@ struct CachedGroup {
     lower: Option<Vec<IdList>>,
 }
 
-/// Puts a cache in generality order, `(upper.len(), upper)`: the
-/// order the miner's merge judges groups in, which `assemble` relies
-/// on. After a delta the retained entries are still in order and only
-/// the refreshed ones are new, so the (run-adaptive) stable sort costs
-/// little more than merging them in.
+/// Puts a cache in [`generality_order`], the order step 7 judges
+/// groups in, which `assemble` relies on. After a delta the retained
+/// entries are still in order and only the refreshed ones are new, so
+/// the (run-adaptive) stable sort costs little more than merging them
+/// in.
 fn sort_by_generality(cache: &mut [CachedGroup]) {
-    cache.sort_by(|a, b| {
-        a.upper
-            .len()
-            .cmp(&b.upper.len())
-            .then_with(|| a.upper.cmp(&b.upper))
-    });
+    cache.sort_by(|a, b| generality_order(&a.upper, &b.upper));
 }
 
 fn cache_entry(g: RuleGroup) -> CachedGroup {
@@ -253,13 +248,12 @@ impl IncrementalMiner {
     }
 }
 
-/// The miner's emission pipeline, replayed over the cache: thresholds
-/// in the same order and with the same arithmetic (so `f64`
-/// comparisons agree bit-for-bit), the same `(len, upper)` generality
-/// order (the cache is kept in it), the same domination predicate
-/// (through the miner's [`GeneralityIndex`]), and `mine_lower_bounds`
-/// for accepted groups only — memoized per entry, since the lower
-/// bounds of an untouched, unblocked group cannot move under appends.
+/// Step 7 over the cache, as a cold mine's merge runs it: the same
+/// [`Thresholds`] against the current margins, the same
+/// [`keep_interesting`] over the generality order the cache is kept in,
+/// and `mine_lower_bounds` for accepted groups only — memoized per
+/// entry, since the lower bounds of an untouched, unblocked group
+/// cannot move under appends.
 fn assemble(
     cache: &mut [CachedGroup],
     params: &MiningParams,
@@ -267,75 +261,44 @@ fn assemble(
     n: usize,
     m: usize,
 ) -> Vec<RuleGroup> {
-    let eff_min_conf = params.effective_min_conf(n, m);
-    // Candidates are cache indices so the lower-bound memo can be
-    // written back once a group is accepted.
-    let mut cands: Vec<(usize, f64)> = Vec::new();
-    for (i, g) in cache.iter().enumerate() {
-        if g.sup < params.min_sup {
-            continue;
+    let thresholds = Thresholds::new(params, n, m);
+    // candidates borrow their cache entries mutably, so an accepted
+    // group can fill its lower-bound memo
+    let cands: Vec<&mut CachedGroup> = cache
+        .iter_mut()
+        .filter(|g| thresholds.accept(g.sup, g.neg_sup).is_some())
+        .collect();
+    keep_interesting(
+        cands,
+        |g| (&g.upper, g.sup, g.neg_sup),
+        &mut MineStats::default(),
+        &mut NoOpObserver,
+    )
+    .into_iter()
+    .map(|g| {
+        // MineLB's blockers depend only on the *set* of row∩upper
+        // projections, so running it in original row-id space
+        // yields the same lower bounds the cold mine computes in
+        // reordered space (canonical_sort normalizes list order).
+        let lower = if params.lower_bounds {
+            g.lower
+                .get_or_insert_with(|| mine_lower_bounds(&g.upper, &g.rows, data))
+                .clone()
+        } else {
+            Vec::new()
+        };
+        RuleGroup {
+            upper: g.upper.clone(),
+            lower,
+            support_set: g.rows.clone(),
+            sup: g.sup,
+            neg_sup: g.neg_sup,
+            class: params.target_class,
+            n_rows: n,
+            n_class: m,
         }
-        let conf = g.sup as f64 / (g.sup + g.neg_sup) as f64;
-        if conf < eff_min_conf {
-            continue;
-        }
-        if params.min_chi > 0.0 {
-            let chi = chi_square(Contingency::new(g.sup + g.neg_sup, g.sup, n, m));
-            if chi < params.min_chi {
-                continue;
-            }
-        }
-        if !params.extra.is_empty() {
-            let t = Contingency::new(g.sup + g.neg_sup, g.sup, n, m);
-            let ok = params.extra.iter().all(|c| match *c {
-                ExtraConstraint::MinLift(v) => measures::lift(t) >= v,
-                ExtraConstraint::MinConviction(v) => measures::conviction(t) >= v,
-                ExtraConstraint::MinEntropyGain(v) => measures::entropy_gain(t) >= v,
-                ExtraConstraint::MinGiniGain(v) => measures::gini_gain(t) >= v,
-                ExtraConstraint::MinCorrelation(v) => measures::correlation(t) >= v,
-            });
-            if !ok {
-                continue;
-            }
-        }
-        cands.push((i, conf));
-    }
-    let mut accepted: Vec<usize> = Vec::new();
-    let mut index = GeneralityIndex::new();
-    for (i, conf) in cands {
-        let upper = &cache[i].upper;
-        if !index.has_dominator(upper, conf, |id| &cache[id as usize].upper) {
-            index.insert(i as u32, upper, conf);
-            accepted.push(i);
-        }
-    }
-    accepted
-        .into_iter()
-        .map(|i| {
-            let g = &mut cache[i];
-            // MineLB's blockers depend only on the *set* of row∩upper
-            // projections, so running it in original row-id space
-            // yields the same lower bounds the cold mine computes in
-            // reordered space (canonical_sort normalizes list order).
-            let lower = if params.lower_bounds {
-                g.lower
-                    .get_or_insert_with(|| mine_lower_bounds(&g.upper, &g.rows, data))
-                    .clone()
-            } else {
-                Vec::new()
-            };
-            RuleGroup {
-                upper: g.upper.clone(),
-                lower,
-                support_set: g.rows.clone(),
-                sup: g.sup,
-                neg_sup: g.neg_sup,
-                class: params.target_class,
-                n_rows: n,
-                n_class: m,
-            }
-        })
-        .collect()
+    })
+    .collect()
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@ fn main() {
     let result = mine_top_k(&data, 1, k, 4);
     println!(
         "top-{k} covering rule groups per sample ({} search nodes, {} floor prunes)\n",
-        result.nodes_visited, result.pruned_floor
+        result.stats.nodes_visited, result.stats.pruned_floor
     );
 
     let mut uncovered = 0usize;

@@ -42,6 +42,26 @@ grep -q '"stop": "budget"' "$tmp/trunc.json"
 ./target/release/farmer mine --in "$tmp/m.txt" --min-sup 3 --threads 2 --stats-json > "$tmp/par.json"
 grep -q '"scheduler"' "$tmp/par.json"
 grep -q '"peak_arena_depth"' "$tmp/par.json"
+# every engine answers step 7 with the same code: FARMER and the four
+# column-enumeration baselines must report the same groups and the same
+# count of dominated ones
+agree=""
+for algo in farmer charm closet apriori column-e; do
+  ./target/release/farmer mine --in "$tmp/m.txt" --algo "$algo" --min-sup 3 \
+    --stats-json > "$tmp/algo.json"
+  got="$(sed -n 's/.*"\(n_groups\|not_interesting\)": \([0-9]*\).*/\1=\2/p' \
+    "$tmp/algo.json" | tr '\n' ' ')"
+  case "$got" in
+    *n_groups=[0-9]*not_interesting=[0-9]*) ;;
+    *) echo "--algo $algo: no n_groups/not_interesting in its stats" >&2; exit 1 ;;
+  esac
+  if [ -z "$agree" ]; then
+    agree="$got"
+  elif [ "$got" != "$agree" ]; then
+    echo "--algo $algo reports n_groups/not_interesting $got, farmer $agree" >&2
+    exit 1
+  fi
+done
 # unknown flags (here a removed one) fail loudly, naming the flag
 if ./target/release/farmer mine --in "$tmp/m.txt" --memo-capacity 1 \
   > /dev/null 2> "$tmp/unknown.err"; then

@@ -12,7 +12,8 @@
 use farmer_suite::core::carpenter::carpenter;
 use farmer_suite::core::topk::{mine_top_k_session, TopKResult};
 use farmer_suite::core::{
-    dump_groups, CountingObserver, Farmer, MineControl, MineStats, MiningParams, StopCause,
+    dump_groups, CountingObserver, Farmer, MineControl, MineStats, MiningParams, PruneReason,
+    StopCause,
 };
 use farmer_suite::dataset::discretize::Discretizer;
 use farmer_suite::dataset::synth::PaperDataset;
@@ -78,11 +79,17 @@ fn top_k_lists_and_counters_are_pinned() {
     ] {
         let mut obs = CountingObserver::default();
         let r = mine_top_k_session(&d, CLASS, k, MIN_SUP, &MineControl::new(), &mut obs);
-        assert_eq!(r.stop, StopCause::Completed, "k={k}");
-        assert_eq!(r.nodes_visited, 50_469, "k={k}");
-        assert_eq!(obs.nodes, r.nodes_visited, "k={k}");
-        assert_eq!(r.pruned_floor, floor, "k={k}");
+        assert_eq!(r.stats.stop, StopCause::Completed, "k={k}");
+        assert_eq!(r.stats.nodes_visited, 50_469, "k={k}");
+        assert_eq!(obs.nodes, r.stats.nodes_visited, "k={k}");
+        assert_eq!(r.stats.pruned_floor, floor, "k={k}");
         assert_eq!(obs.pruned_floor, floor, "k={k}");
+        // the result carries the search's whole tally, not a copy of
+        // some fields: every cut the observer saw is counted
+        for reason in PruneReason::ALL {
+            let (got, seen) = (r.stats.pruned_count(reason), obs.pruned_count(reason));
+            assert_eq!(got, seen, "k={k} {reason:?}");
+        }
         assert_eq!(obs.emitted, emitted, "k={k}");
         assert_eq!(per_row_digest(&r), digest, "k={k}");
         if k == 1 {
