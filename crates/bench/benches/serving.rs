@@ -1,12 +1,13 @@
-//! Serving-layer benchmarks: the inverted rule-group index against the
-//! naive linear scan it replaces, on artifacts round-tripped through
-//! the `.fgi` format exactly as `farmer serve` loads them.
+//! Serving-layer benchmarks: the sharded rule-group index `farmer
+//! serve` answers from, against the naive linear scan it replaces, on
+//! artifacts round-tripped through the `.fgi` format exactly as `farmer
+//! serve` loads them.
 
 use farmer_classify::{irg_rule, RuleListClassifier, IRG_FINGERPRINT_THETA};
 use farmer_core::{canonical_sort, Farmer, MiningParams, RuleGroup};
 use farmer_dataset::discretize::Discretizer;
 use farmer_dataset::synth::SynthConfig;
-use farmer_serve::RuleGroupIndex;
+use farmer_serve::ShardedIndex;
 use farmer_store::{read_artifact, Artifact, ArtifactMeta, ArtifactWriter};
 use farmer_support::bench::{BenchmarkId, Criterion};
 use farmer_support::rng::{Rng, SeedableRng, StdRng};
@@ -77,7 +78,7 @@ fn match_and_classify(c: &mut Criterion) {
             artifact.meta.majority_class(),
         );
         let queries = samples(&artifact.meta, 64, 12, 7);
-        let idx = RuleGroupIndex::from_artifact(artifact);
+        let idx = ShardedIndex::from_artifact(artifact);
 
         group.bench_with_input(
             BenchmarkId::new("index_match", name),
@@ -136,7 +137,7 @@ fn index_build(c: &mut Criterion) {
     let groups = artifact.groups.clone();
     group.bench_function("index_build_wide", |b| {
         b.iter(|| {
-            RuleGroupIndex::from_artifact(Artifact {
+            ShardedIndex::from_artifact(Artifact {
                 meta: meta.clone(),
                 groups: groups.clone(),
             })

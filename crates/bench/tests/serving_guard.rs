@@ -11,19 +11,21 @@
 //! test mines on another core.
 //!
 //! The artifact encoding is deterministic, so the v2-vs-v1 size bound
-//! holds on every host. The hammer sends 4 clients × 250
-//! `/v1/classify` GETs over loopback, once with the default config and
-//! once with every request logged and captured in the slow ring. Both
-//! runs must shed nothing and clear a 50 req/s collapse floor, and the
-//! logged run must keep at least 0.2× the unlogged req/s: any slower
-//! means the log lock or the slow ring is serializing the pool.
+//! holds on every host. v1 is no longer written; its size is computed
+//! from its fixed-width layout (the `farmer-store` crate docs). The
+//! hammer sends 4 clients × 250 `/v1/classify` GETs over loopback,
+//! once with the default config and once with every request logged and
+//! captured in the slow ring. Both runs must shed nothing and clear a
+//! 50 req/s collapse floor, and the logged run must keep at least 0.2×
+//! the unlogged req/s: any slower means the log lock or the slow ring
+//! is serializing the pool.
 
 use farmer_bench::workloads::{efficiency_dataset, DEFAULT_COL_SCALE};
 use farmer_core::{canonical_sort, Farmer, MiningParams, RuleGroup};
 use farmer_dataset::synth::PaperDataset;
 use farmer_dataset::Dataset;
 use farmer_serve::{http_get, ArtifactHandle, ServeConfig, ShardedIndex};
-use farmer_store::{save_artifact_versioned, Artifact, ArtifactMeta};
+use farmer_store::{save_artifact, Artifact, ArtifactMeta, HEADER_LEN};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -89,19 +91,39 @@ fn hammer(d: &Dataset, groups: &[RuleGroup], config: &ServeConfig) -> (f64, u64)
     (rps, shed)
 }
 
+/// The byte length of `groups` in the fixed-width v1 layout: the
+/// header, the dictionary with `u32`-length-prefixed names, each
+/// record's integers, id lists and bitset words, and the trailing `u32`
+/// group count.
+fn v1_len(meta: &ArtifactMeta, groups: &[RuleGroup]) -> usize {
+    let names = |names: &[String]| names.iter().map(|s| 4 + s.len()).sum::<usize>();
+    let dict = 8 + 4 + names(&meta.class_names) + 8 * meta.n_classes() + 4;
+    let records: usize = groups
+        .iter()
+        .map(|g| {
+            let lower: usize = g.lower.iter().map(|l| 4 + 4 * l.len()).sum();
+            4 + 4 * 8
+                + (4 + 4 * g.upper.len())
+                + 4
+                + lower
+                + 8
+                + 4
+                + 8 * g.support_set.words().len()
+        })
+        .sum();
+    HEADER_LEN + dict + names(&meta.item_names) + records + 4
+}
+
 #[test]
 #[ignore = "mines the full efficiency workload; run with --release -- --ignored"]
 fn live_v2_artifact_is_5x_smaller_than_v1() {
     let (d, groups) = mine_workload();
     let meta = ArtifactMeta::from_dataset(&d);
-    let size_of = |version: u32| {
-        let path = std::env::temp_dir().join(format!("serving_guard_v{version}.fgi"));
-        save_artifact_versioned(&path, &meta, &groups, version).unwrap();
-        let bytes = std::fs::metadata(&path).unwrap().len();
-        let _ = std::fs::remove_file(&path);
-        bytes as f64
-    };
-    let (v1, v2) = (size_of(1), size_of(2));
+    let path = std::env::temp_dir().join(format!("serving_guard_{}.fgi", std::process::id()));
+    save_artifact(&path, &meta, &groups).unwrap();
+    let v2 = std::fs::metadata(&path).unwrap().len() as f64;
+    let _ = std::fs::remove_file(&path);
+    let v1 = v1_len(&meta, &groups) as f64;
     let ratio = v1 / v2;
     assert!(
         ratio >= SIZE_RATIO_BOUND,

@@ -103,9 +103,6 @@ pub struct MineArgs {
     /// Optional `.fgi` artifact output: persist the mined groups (in
     /// canonical order) for `farmer serve` / `farmer query`.
     pub save_irgs: Option<PathBuf>,
-    /// `.fgi` format version for `--save-irgs` (1 or 2; default 2, the
-    /// compact encoding).
-    pub fgi_version: u32,
     /// Keep running after the initial mine: watch a row journal and
     /// republish the `--save-irgs` artifact on every delta.
     pub watch: bool,
@@ -310,14 +307,6 @@ pub fn parse(argv: &[String]) -> Result<Command> {
             save_irgs: opts
                 .get("save-irgs")
                 .and_then(|v| v.clone().map(PathBuf::from)),
-            fgi_version: match num(&opts, "fgi-version", 2u32)? {
-                v @ (1 | 2) => v,
-                other => {
-                    return Err(CliError(format!(
-                        "--fgi-version must be 1 or 2, not {other}"
-                    )))
-                }
-            },
             watch: {
                 let watch = flag(&opts, "watch");
                 if watch && !opts.contains_key("save-irgs") {
@@ -438,7 +427,6 @@ fn known_flags(cmd: &str) -> Option<&'static [&'static str]> {
             "metrics-out",
             "limit",
             "save-irgs",
-            "fgi-version",
             "watch",
             "journal",
             "remine-debounce-ms",
@@ -696,32 +684,9 @@ mod tests {
     fn parses_save_irgs() {
         let c = parse(&sv(&["mine", "--in", "d.txt", "--save-irgs", "g.fgi"])).unwrap();
         match c {
-            Command::Mine(m) => {
-                assert_eq!(m.save_irgs, Some(PathBuf::from("g.fgi")));
-                assert_eq!(m.fgi_version, 2, "compact v2 is the default");
-            }
+            Command::Mine(m) => assert_eq!(m.save_irgs, Some(PathBuf::from("g.fgi"))),
             other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn parses_fgi_version() {
-        let c = parse(&sv(&[
-            "mine",
-            "--in",
-            "d.txt",
-            "--save-irgs",
-            "g.fgi",
-            "--fgi-version",
-            "1",
-        ]))
-        .unwrap();
-        match c {
-            Command::Mine(m) => assert_eq!(m.fgi_version, 1),
-            other => panic!("{other:?}"),
-        }
-        let err = parse(&sv(&["mine", "--in", "d.txt", "--fgi-version", "3"])).unwrap_err();
-        assert!(err.to_string().contains("--fgi-version"), "{err}");
     }
 
     #[test]
@@ -955,6 +920,22 @@ mod tests {
         // the unknown flag is reported even when a required one is missing
         let err = parse(&sv(&["mine", "--min-supp", "3"])).unwrap_err();
         assert!(err.to_string().contains("--min-supp"), "{err}");
+        // the retired `.fgi` version switch: every artifact is written
+        // in the current version
+        let err = parse(&sv(&[
+            "mine",
+            "--in",
+            "d.txt",
+            "--save-irgs",
+            "g.fgi",
+            "--fgi-version",
+            "1",
+        ]))
+        .unwrap_err();
+        assert!(
+            err.to_string().contains("unknown flag --fgi-version"),
+            "{err}"
+        );
         // known flags are per subcommand: `--threads` is a `mine` flag only
         let err = parse(&sv(&["topk", "--in", "d.txt", "--threads", "2"])).unwrap_err();
         let msg = err.to_string();

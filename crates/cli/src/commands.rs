@@ -17,10 +17,8 @@ use farmer_dataset::discretize::Discretizer;
 use farmer_dataset::synth::{PaperDataset, SynthConfig};
 use farmer_dataset::{io as dio, Dataset};
 use farmer_pipeline::{Notify, Pipeline, PipelineConfig};
-use farmer_serve::{ArtifactHandle, IngestHook, RuleGroupIndex, ServeConfig};
-use farmer_store::{
-    dataset_fingerprint, save_artifact_versioned, Artifact, ArtifactMeta, JournalWriter,
-};
+use farmer_serve::{ArtifactHandle, IngestHook, ServeConfig, ShardedIndex};
+use farmer_store::{dataset_fingerprint, save_artifact, Artifact, ArtifactMeta, JournalWriter};
 use rowset::IdList;
 use std::io::Write;
 use std::sync::Arc;
@@ -355,7 +353,7 @@ fn mine(a: MineArgs, out: &mut dyn Write) -> Result<()> {
         let mut groups = result.groups;
         farmer_core::canonical_sort(&mut groups);
         let meta = ArtifactMeta::from_dataset(&data);
-        let checksum = save_artifact_versioned(path, &meta, &groups, a.fgi_version)
+        let checksum = save_artifact(path, &meta, &groups)
             .map_err(|e| CliError(format!("saving {}: {e}", path.display())))?;
         if !a.stats_json {
             writeln!(
@@ -363,7 +361,7 @@ fn mine(a: MineArgs, out: &mut dyn Write) -> Result<()> {
                 "wrote {} rule groups to {} (format v{}, checksum {checksum:#018x})",
                 groups.len(),
                 path.display(),
-                a.fgi_version
+                farmer_store::VERSION
             )?;
         }
     }
@@ -436,13 +434,6 @@ fn mine_watch(
         },
     }
     Ok(())
-}
-
-/// Loads and indexes an artifact, mapping store errors to CLI errors.
-fn load_index(path: &std::path::Path) -> Result<RuleGroupIndex> {
-    let artifact =
-        Artifact::load(path).map_err(|e| CliError(format!("{}: {e}", path.display())))?;
-    Ok(RuleGroupIndex::from_artifact(artifact))
 }
 
 /// Starts the `serve --watch` pipeline: journal-fed remines that
@@ -665,7 +656,11 @@ fn ingest(a: IngestArgs, out: &mut dyn Write) -> Result<()> {
 }
 
 fn query(a: QueryArgs, out: &mut dyn Write) -> Result<()> {
-    let index = load_index(&a.artifact)?;
+    let path = &a.artifact;
+    let artifact =
+        Artifact::load(path).map_err(|e| CliError(format!("{}: {e}", path.display())))?;
+    // the index `serve` answers from
+    let index = ShardedIndex::from_artifact(artifact);
     let meta = index.meta();
     if let Some(c) = a.class {
         if c as usize >= meta.n_classes() {
@@ -1417,11 +1412,18 @@ mod tests {
             .collect();
         let items = first_upper.join(",");
 
-        let s = run_ok(&["query", fgi.to_str().unwrap(), "--items", &items]);
-        assert!(s.contains("classified as"), "{s}");
-        assert!(s.contains("matching rule groups"), "{s}");
-        let s = run_ok(&["query", fgi.to_str().unwrap(), "--items", "no-such-item"]);
-        assert!(s.contains("not in the artifact"), "{s}");
+        let samples = [items.as_str(), "no-such-item"];
+        let queried: Vec<String> = samples
+            .iter()
+            .map(|sample| run_ok(&["query", fgi.to_str().unwrap(), "--items", sample]))
+            .collect();
+        assert!(queried[0].contains("classified as"), "{}", queried[0]);
+        assert!(
+            queried[0].contains("matching rule groups"),
+            "{}",
+            queried[0]
+        );
+        assert!(queried[1].contains("not in the artifact"), "{}", queried[1]);
 
         // serve on an ephemeral port in a thread; idle-exit gives the
         // command a clean way home once we stop sending traffic
@@ -1452,8 +1454,28 @@ mod tests {
 
         let h = farmer_serve::http_get(&addr, "/v1/healthz").unwrap();
         assert_eq!(h.status, 200, "{}", h.body);
-        let c = farmer_serve::http_get(&addr, &format!("/v1/classify?items={items}")).unwrap();
-        assert_eq!(c.status, 200, "{}", c.body);
+        // `query` and the server answer from the same index: the same
+        // class and group, and the same number of matching groups
+        for (sample, s) in samples.iter().zip(&queried) {
+            let c = farmer_serve::http_get(&addr, &format!("/v1/classify?items={sample}")).unwrap();
+            assert_eq!(c.status, 200, "{}", c.body);
+            let c = Json::parse(&c.body).unwrap();
+            let class = c["class_name"].as_str().unwrap();
+            let expected = match c["group"].as_u64() {
+                Some(g) => format!("classified as {class} (group {g}:"),
+                None => format!("classified as {class} (no covering group"),
+            };
+            assert!(
+                s.lines().any(|l| l.starts_with(&expected)),
+                "{sample}: {expected} not in {s}"
+            );
+            let q = farmer_serve::http_get(&addr, &format!("/v1/query?items={sample}")).unwrap();
+            let total = Json::parse(&q.body).unwrap()["total"].as_u64().unwrap();
+            assert!(
+                s.contains(&format!("\n{total} matching rule groups\n")),
+                "{sample}: total {total}, query printed {s}"
+            );
+        }
         let m = farmer_serve::http_get(&addr, "/v1/metrics").unwrap();
         assert!(
             m.body.contains("farmer_serve_request_ns_count"),

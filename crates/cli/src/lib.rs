@@ -83,8 +83,6 @@ MINE OPTIONS:
   --metrics-out <p>   write Prometheus text-format metrics for the run
   --limit <n>         print at most n groups (0 = all, default 20)
   --save-irgs <p>     persist the mined rule groups as a .fgi artifact
-  --fgi-version <n>   .fgi format for --save-irgs: 2 = compact (default),
-                      1 = legacy (older readers)
   --watch             stay running after the mine: watch a row journal
                       and republish the --save-irgs artifact on deltas
   --journal <p>       the .fgd journal to watch (default: artifact path

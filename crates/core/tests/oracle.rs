@@ -174,8 +174,49 @@ fn degenerate_datasets() {
     check_all_configs(&d, &MiningParams::new(0));
 }
 
+/// `n` rows, the first `m` in class 0, with item 0 in `y` class rows
+/// and `x − y` others, so the group `{0}` has confidence `y / x`. Items
+/// 1 and 2 (every second and every third row) add groups around it.
+fn tie_dataset(n: usize, m: usize, x: usize, y: usize) -> Dataset {
+    let mut b = DatasetBuilder::new(2);
+    for r in 0..n {
+        let item0 = if r < m { r < y } else { r - m < x - y };
+        let items = [(0, item0), (1, r % 2 == 0), (2, r % 3 == 0)];
+        b.add_row(
+            items.iter().filter(|(_, on)| *on).map(|&(i, _)| i),
+            u32::from(r >= m),
+        );
+    }
+    b.build()
+}
+
 #[test]
 fn extra_constraints_match_oracle() {
+    // `{0}` meets the extra exactly: confidence 7/10 has lift 1.2 at 7
+    // of 12 rows in the class, and 3/7 has conviction 1.25 at 4 of 14
+    let tie = |n, m, x, y, extra| {
+        let params = MiningParams::new(0)
+            .min_sup(1)
+            .lower_bounds(false)
+            .constrain(extra);
+        (tie_dataset(n, m, x, y), params)
+    };
+    for (d, params) in [
+        tie(12, 7, 10, 7, ExtraConstraint::MinLift(1.2)),
+        tie(14, 4, 7, 3, ExtraConstraint::MinConviction(1.25)),
+    ] {
+        check_all_configs(&d, &params);
+    }
+    // the oracle stops at 20 rows: at 25 rows, 4 in the class, every
+    // configuration keeps `{0}` at confidence 3/10 and conviction 1.2
+    let (d, params) = tie(25, 4, 10, 3, ExtraConstraint::MinConviction(1.2));
+    for pruning in pruning_configs() {
+        let got = Farmer::new(params.clone()).with_pruning(pruning).mine(&d);
+        assert!(
+            got.groups.iter().any(|g| g.upper.as_slice() == [0]),
+            "pruning={pruning:?}"
+        );
+    }
     let d = paper_example();
     let extras: Vec<Vec<ExtraConstraint>> = vec![
         vec![ExtraConstraint::MinLift(1.2)],

@@ -15,7 +15,7 @@
 //! half-built index, and a reload that fails (missing file, corrupt
 //! artifact) leaves the served index untouched.
 
-use crate::shard::ShardedIndex;
+use crate::shard::{default_shards, ShardedIndex};
 use farmer_store::Artifact;
 use farmer_support::swap::Swap;
 use farmer_support::thread::Mutex;
@@ -45,8 +45,9 @@ pub struct ArtifactHandle {
 }
 
 impl ArtifactHandle {
-    /// Loads `path` and builds the initial index. `n_shards = 0` picks
-    /// the [`ShardedIndex::from_artifact`] default.
+    /// Loads `path` and builds the initial index at `theta`.
+    /// `n_shards = 0` picks one shard per available core, up to 8, as
+    /// [`ShardedIndex::from_artifact`] does.
     pub fn load(path: impl Into<PathBuf>, theta: f64, n_shards: usize) -> Result<Self, String> {
         let path = path.into();
         let index = build_index(load_artifact(&path)?, theta, n_shards);
@@ -159,11 +160,12 @@ fn load_artifact(path: &Path) -> Result<Artifact, String> {
 }
 
 fn build_index(artifact: Artifact, theta: f64, n_shards: usize) -> ShardedIndex {
-    if n_shards == 0 {
-        ShardedIndex::from_artifact(artifact)
+    let n_shards = if n_shards == 0 {
+        default_shards()
     } else {
-        ShardedIndex::build(artifact, theta, n_shards)
-    }
+        n_shards
+    };
+    ShardedIndex::build(artifact, theta, n_shards)
 }
 
 #[cfg(test)]
@@ -263,6 +265,19 @@ mod tests {
         assert_eq!(handle.epoch(), 0);
         assert_eq!(handle.current().groups().len(), n);
         assert_eq!(handle.last_reload_failure().unwrap().0, 1);
+    }
+
+    #[test]
+    fn default_sharding_serves_the_handle_theta() {
+        let path =
+            std::env::temp_dir().join(format!("fgi-handle-theta-{}.fgi", std::process::id()));
+        write_artifact(&path, false);
+        let handle = ArtifactHandle::load(&path, 0.5, 0).unwrap();
+        assert_eq!(handle.current().theta(), 0.5);
+        write_artifact(&path, true);
+        assert_eq!(handle.reload().unwrap().theta(), 0.5);
+        assert_eq!(handle.current().theta(), 0.5);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

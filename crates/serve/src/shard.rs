@@ -1,29 +1,59 @@
-//! The sharded serving index: [`RuleGroupIndex`]'s posting lists
-//! hash-partitioned across shards, with a scatter/gather merge that
-//! reproduces the monolithic index's answers exactly.
+//! The serving index: inverted item → group posting lists,
+//! hash-partitioned across shards, with per-class partitions and a
+//! precomputed classification ranking, built once from a loaded
+//! artifact.
 //!
 //! Shard `s` of `S` owns every group `gi` with `gi % S == s`, under a
 //! *local* id `gi / S`. Each shard carries its own item→group posting
 //! lists restricted to its groups, so a `matches` pass touches one
 //! shard's postings and a counter array sized to that shard's group
-//! count — a fraction of the monolithic index's working set — and the
-//! gather step merges the per-shard sorted hit lists back into global
-//! ids. Classification ranks (`rank`, `by_class`) are computed once,
-//! globally, *before* partitioning, so sharding cannot perturb
-//! tie-breaking: the parity property tests in `tests/shard_props.rs`
-//! pin every answer to [`RuleGroupIndex`].
+//! count, and the gather step merges the per-shard sorted hit lists
+//! back into global ids. Classification ranks (`rank`, `by_class`) are
+//! computed once, globally, *before* partitioning, so sharding cannot
+//! perturb tie-breaking: the property in `tests/index_props.rs` pins
+//! every shard count to the linear scan and to the offline rule-list
+//! classifier.
 //!
 //! Shards are built in parallel (one thread per shard via
 //! `farmer_support::thread::scope`), which is where artifact reloads
 //! win: a hot swap rebuilds the index across the pool instead of on
 //! one core.
 
-use crate::index::{smallest_meeting, Prediction};
 use farmer_classify::{irg_rule, rule_cmp, ScoredRule, IRG_FINGERPRINT_THETA};
 use farmer_core::RuleGroup;
 use farmer_dataset::ClassLabel;
 use farmer_store::{Artifact, ArtifactMeta};
 use rowset::IdList;
+
+/// The serving layer's answer to `classify(sample)`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Prediction {
+    /// The predicted class.
+    pub class: ClassLabel,
+    /// The winning group (an index into [`ShardedIndex::groups`]), or
+    /// `None` when no group matched and the majority-class fallback
+    /// answered.
+    pub group: Option<u32>,
+}
+
+/// The smallest count `k` with `k ≥ θ·len` under the exact `f64`
+/// comparison `ScoredRule::matches` performs — so the counting index
+/// and the fractional matcher agree even when `θ·len` sits on a
+/// rounding boundary.
+fn smallest_meeting(theta: f64, len: usize) -> u32 {
+    (0..=len as u32)
+        .find(|&k| k as f64 >= theta * len as f64)
+        .unwrap_or(len as u32)
+}
+
+/// One shard per available core, capped at 8 — posting lists stop
+/// shrinking usefully beyond that on mined workloads.
+pub(crate) fn default_shards() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(8)
+}
 
 /// One shard's inverted postings over its slice of the groups.
 struct Shard {
@@ -72,8 +102,20 @@ impl Shard {
     }
 }
 
-/// An immutable sharded index over one artifact's rule groups,
-/// answer-for-answer equivalent to [`RuleGroupIndex`](crate::RuleGroupIndex).
+/// An immutable index over the rule groups of one artifact.
+///
+/// `matches` runs over inverted posting lists: for each item the sample
+/// carries, bump a counter on every group whose upper bound contains
+/// that item; a group matches when its counter reaches the fractional
+/// containment threshold `⌈θ·|upper|⌉`. Work is proportional to the
+/// posting lists the sample actually touches — groups sharing no item
+/// with the sample are never looked at, unlike a linear scan.
+///
+/// `classify` is the first-matching-rule prediction of
+/// `farmer_classify::RuleListClassifier::from_ranked` over the same
+/// groups: the matching group whose derived rule ranks first under
+/// [`farmer_classify::rule_cmp`] wins; the artifact's majority class
+/// answers when nothing matches.
 pub struct ShardedIndex {
     meta: ArtifactMeta,
     groups: Vec<RuleGroup>,
@@ -154,15 +196,11 @@ impl ShardedIndex {
         }
     }
 
-    /// Builds with the offline IRG threshold and one shard per
-    /// available core (capped at 8 — posting lists stop shrinking
-    /// usefully beyond that on mined workloads).
+    /// Builds with the offline IRG threshold
+    /// ([`IRG_FINGERPRINT_THETA`]) and one shard per available core, up
+    /// to 8.
     pub fn from_artifact(artifact: Artifact) -> Self {
-        let shards = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8);
-        Self::build(artifact, IRG_FINGERPRINT_THETA, shards)
+        Self::build(artifact, IRG_FINGERPRINT_THETA, default_shards())
     }
 
     /// The artifact's dataset metadata.
@@ -247,9 +285,10 @@ impl ShardedIndex {
         }
     }
 
-    /// Resolves item tokens to a sample [`IdList`] exactly as
-    /// [`RuleGroupIndex::parse_sample`](crate::RuleGroupIndex::parse_sample)
-    /// does.
+    /// Resolves item tokens to a sample [`IdList`]. Each token is
+    /// looked up as an item name first, then as a numeric id; unknown
+    /// tokens are returned (they cannot affect any match — the index
+    /// only counts items in the dictionary).
     pub fn parse_sample<'t>(
         &self,
         tokens: impl IntoIterator<Item = &'t str>,
@@ -276,7 +315,6 @@ impl ShardedIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RuleGroupIndex;
     use farmer_core::{canonical_sort, Farmer, MiningParams};
     use farmer_dataset::DatasetBuilder;
 
@@ -303,20 +341,50 @@ mod tests {
     }
 
     #[test]
-    fn sharded_equals_monolithic_on_fixed_samples() {
-        let art = small_artifact();
-        let mono = RuleGroupIndex::from_artifact(Artifact {
-            meta: art.meta.clone(),
-            groups: art.groups.clone(),
-        });
+    fn matches_equals_linear_scan() {
         for n_shards in [1, 2, 3, 7, 64] {
-            let sharded = ShardedIndex::build(art.clone(), mono.theta(), n_shards);
+            let idx = ShardedIndex::build(small_artifact(), IRG_FINGERPRINT_THETA, n_shards);
             for sample in [vec![], vec![0], vec![0, 1], vec![0, 1, 2, 3], vec![3]] {
                 let s = IdList::from_iter(sample.iter().copied());
-                assert_eq!(sharded.matches(&s), mono.matches(&s), "{n_shards} shards");
-                assert_eq!(sharded.classify(&s), mono.classify(&s), "{n_shards} shards");
+                let naive: Vec<u32> = idx
+                    .rules()
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, r)| r.matches(&s))
+                    .map(|(i, _)| i as u32)
+                    .collect();
+                assert_eq!(idx.matches(&s), naive, "{n_shards} shards, {sample:?}");
             }
         }
+    }
+
+    #[test]
+    fn classify_falls_back_to_majority() {
+        let idx = ShardedIndex::from_artifact(small_artifact());
+        let p = idx.classify(&IdList::new());
+        assert_eq!(p.group, None);
+        assert_eq!(p.class, idx.meta().majority_class());
+    }
+
+    #[test]
+    fn thresholds_honor_exact_fraction_boundaries() {
+        // θ = 0.5 over 4 items: 2 of 4 meets 0.5·4 exactly.
+        assert_eq!(smallest_meeting(0.5, 4), 2);
+        // θ = 0.8 over 5 items: 4 = 0.8·5 exactly.
+        assert_eq!(smallest_meeting(0.8, 5), 4);
+        // θ = 0.8 over 4 items: 3.2 rounds up to 4.
+        assert_eq!(smallest_meeting(0.8, 4), 4);
+        assert_eq!(smallest_meeting(1.0, 3), 3);
+    }
+
+    #[test]
+    fn parse_sample_names_ids_and_unknowns() {
+        let art = small_artifact();
+        let name2 = art.meta.item_names[2].clone();
+        let idx = ShardedIndex::from_artifact(art);
+        let (ids, unknown) = idx.parse_sample([name2.as_str(), "0", "nope", "99"]);
+        assert_eq!(ids, IdList::from_iter([0, 2]));
+        assert_eq!(unknown, vec!["nope".to_string(), "99".to_string()]);
     }
 
     #[test]
@@ -324,6 +392,12 @@ mod tests {
         let idx = ShardedIndex::build(small_artifact(), 0.8, 3);
         let total: usize = (0..2).map(|c| idx.groups_for_class(c).len()).sum();
         assert_eq!(total, idx.groups().len());
+        for c in 0..2u32 {
+            assert!(idx
+                .groups_for_class(c)
+                .iter()
+                .all(|&gi| idx.groups()[gi as usize].class == c));
+        }
     }
 
     #[test]

@@ -1,12 +1,14 @@
-//! Property tests pinning the serving index to its oracles: the
-//! inverted-index `matches` equals a naive linear scan over every
-//! group's derived rule, and `classify` equals the offline
-//! `RuleListClassifier::from_ranked` prediction on the same artifact.
+//! Property test pinning the serving index to its references at every
+//! shard count: the inverted-index `matches` equals a linear scan over
+//! every group's derived rule, `classify` equals the first matching
+//! group in classification-rank order, and at the offline threshold the
+//! class equals `RuleListClassifier::from_ranked`'s prediction on the
+//! same artifact.
 
-use farmer_classify::{irg_rule, RuleListClassifier, IRG_FINGERPRINT_THETA};
+use farmer_classify::{irg_rule, rule_cmp, RuleListClassifier, IRG_FINGERPRINT_THETA};
 use farmer_core::{canonical_sort, Farmer, MiningParams, RuleGroup};
 use farmer_dataset::DatasetBuilder;
-use farmer_serve::RuleGroupIndex;
+use farmer_serve::{Prediction, ShardedIndex};
 use farmer_store::{read_artifact, ArtifactMeta, ArtifactWriter};
 use farmer_support::check::prelude::*;
 use rowset::IdList;
@@ -60,56 +62,59 @@ fn artifact_of(rows: &Rows) -> farmer_store::Artifact {
 }
 
 check! {
-    #![config(cases = 48)]
+    #![config(cases = 128)]
 
-    /// Inverted-index matching equals the linear scan, and indexed
-    /// classification equals the offline rule-list prediction.
+    /// Matching, classification and the class partitions equal their
+    /// linear references for every shard count and θ, including θ = 1
+    /// (exact containment) and small θ (almost any overlap matches).
     #[test]
-    fn index_equals_linear_scan_and_offline((rows, samples) in arb_case()) {
-        let artifact = artifact_of(&rows);
-        let offline = RuleListClassifier::from_ranked(
-            artifact.groups.iter().map(|g| irg_rule(g, IRG_FINGERPRINT_THETA)).collect(),
-            artifact.meta.majority_class(),
-        );
-        let idx = RuleGroupIndex::from_artifact(artifact);
-        for sample in &samples {
-            let s = IdList::from_iter(sample.iter().copied());
-            let naive: Vec<u32> = idx
-                .rules()
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.matches(&s))
-                .map(|(i, _)| i as u32)
-                .collect();
-            prop_assert_eq!(idx.matches(&s), naive, "sample {:?}", sample);
-            prop_assert_eq!(
-                idx.classify(&s).class,
-                offline.predict(&s),
-                "sample {:?}",
-                sample
-            );
-        }
-    }
-
-    /// The equivalence is θ-independent, including θ = 1 (exact
-    /// containment) and small θ (almost any overlap matches).
-    #[test]
-    fn index_equals_linear_scan_any_theta(
+    fn index_equals_linear_scan_and_offline(
         (rows, samples) in arb_case(),
+        n_shards in select(vec![1usize, 2, 3, 5, 16]),
         theta_pct in select(vec![10usize, 50, 80, 100]),
     ) {
         let theta = theta_pct as f64 / 100.0;
-        let idx = RuleGroupIndex::build(artifact_of(&rows), theta);
+        let artifact = artifact_of(&rows);
+        let majority = artifact.meta.majority_class();
+        let offline = RuleListClassifier::from_ranked(
+            artifact.groups.iter().map(|g| irg_rule(g, IRG_FINGERPRINT_THETA)).collect(),
+            majority,
+        );
+        let idx = ShardedIndex::build(artifact, theta, n_shards);
+        let rules = idx.rules();
+        // every group id in classification-rank order: rule order,
+        // ties by id
+        let mut ranked: Vec<u32> = (0..rules.len() as u32).collect();
+        ranked.sort_by(|&a, &b| rule_cmp(&rules[a as usize], &rules[b as usize]).then(a.cmp(&b)));
+        for c in 0..2 {
+            let of_class: Vec<u32> = ranked
+                .iter()
+                .copied()
+                .filter(|&gi| idx.groups()[gi as usize].class == c)
+                .collect();
+            prop_assert_eq!(idx.groups_for_class(c), &of_class[..], "class {}", c);
+        }
         for sample in &samples {
             let s = IdList::from_iter(sample.iter().copied());
-            let naive: Vec<u32> = idx
-                .rules()
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.matches(&s))
-                .map(|(i, _)| i as u32)
+            let naive: Vec<u32> = (0..rules.len() as u32)
+                .filter(|&gi| rules[gi as usize].matches(&s))
                 .collect();
             prop_assert_eq!(idx.matches(&s), naive, "theta {} sample {:?}", theta, sample);
+            let expected = match ranked.iter().find(|&&gi| rules[gi as usize].matches(&s)) {
+                Some(&gi) => Prediction {
+                    class: idx.groups()[gi as usize].class,
+                    group: Some(gi),
+                },
+                None => Prediction {
+                    class: majority,
+                    group: None,
+                },
+            };
+            let got = idx.classify(&s);
+            prop_assert_eq!(&got, &expected, "theta {} sample {:?}", theta, sample);
+            if theta == IRG_FINGERPRINT_THETA {
+                prop_assert_eq!(got.class, offline.predict(&s), "sample {:?}", sample);
+            }
         }
     }
 }

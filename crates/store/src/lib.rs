@@ -13,8 +13,8 @@
 //! rather than a panic or a silently wrong result.
 //!
 //! Two format versions exist. The reader loads both; the writer emits
-//! v2 by default and v1 on request ([`ArtifactWriter::new_versioned`],
-//! `farmer mine --fgi-version 1`).
+//! v2 only. v1 files written by earlier releases stay readable, and the
+//! store's tests decode committed v1 bytes to keep that reader covered.
 //!
 //! # The `.fgi` format, version 1
 //!
@@ -48,12 +48,11 @@
 //! capacity + `u32` word count + packed `u64` words, exactly
 //! [`rowset::RowSet::words`]).
 //!
-//! The group count lives *after* the records so the writer can stream
-//! groups without knowing how many are coming: at
-//! [`ArtifactWriter::finish`] it appends the count, then seeks back
-//! once to patch the payload length and checksum into the header. The
-//! reader knows where the records end because the header declares the
-//! payload length.
+//! The group count lives *after* the records so a writer can stream
+//! groups without knowing how many are coming: it appends the count,
+//! then seeks back once to patch the payload length and checksum into
+//! the header. The reader knows where the records end because the
+//! header declares the payload length.
 //!
 //! # The `.fgi` format, version 2
 //!
@@ -153,15 +152,15 @@ pub use journal::{
 pub use meta::ArtifactMeta;
 pub use publish::publish_artifact;
 pub use reader::{peek_version, read_artifact, Artifact};
-pub use writer::{save_artifact, save_artifact_versioned, ArtifactWriter};
+pub use writer::{save_artifact, ArtifactWriter};
 
 /// The four magic bytes opening every `.fgi` file.
 pub const MAGIC: [u8; 4] = *b"FGIA";
 
-/// The original format version; still fully readable and writable.
+/// The original format version; still read, no longer written.
 pub const VERSION_V1: u32 = 1;
 
-/// The current format version, written by default.
+/// The current format version, the only one written.
 pub const VERSION: u32 = 2;
 
 /// Size of the fixed v1 header preceding the payload.

@@ -9,7 +9,7 @@
 //! the new complete artifact, never a prefix of one, and after the
 //! function returns the rename survives power loss.
 
-use crate::{save_artifact_versioned, ArtifactMeta, Result, StoreError};
+use crate::{save_artifact, ArtifactMeta, Result, StoreError, VERSION};
 use farmer_core::RuleGroup;
 use std::fs::File;
 use std::path::{Path, PathBuf};
@@ -22,12 +22,21 @@ use std::path::{Path, PathBuf};
 /// renamed over `path`; the directory is then fsynced so the rename
 /// itself is durable. On any failure the temporary is removed and
 /// `path` is left untouched.
+///
+/// `version` must be [`VERSION`], the only version written; any other
+/// value is [`StoreError::VersionSkew`].
 pub fn publish_artifact(
     path: &Path,
     meta: &ArtifactMeta,
     groups: &[RuleGroup],
     version: u32,
 ) -> Result<u64> {
+    if version != VERSION {
+        return Err(StoreError::VersionSkew {
+            found: version,
+            supported: VERSION,
+        });
+    }
     let file_name = path
         .file_name()
         .ok_or_else(|| StoreError::corrupt(format!("publish path {path:?} has no file name")))?;
@@ -41,7 +50,7 @@ pub fn publish_artifact(
         std::process::id()
     ));
     let installed = (|| -> Result<u64> {
-        let checksum = save_artifact_versioned(&tmp, meta, groups, version)?;
+        let checksum = save_artifact(&tmp, meta, groups)?;
         File::open(&tmp)?.sync_all()?;
         std::fs::rename(&tmp, path)?;
         Ok(checksum)
@@ -63,7 +72,7 @@ pub fn publish_artifact(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Artifact, VERSION};
+    use crate::{Artifact, VERSION_V1};
 
     fn tmp_dir() -> PathBuf {
         let dir = std::env::temp_dir().join(format!("fgi-publish-{}", std::process::id()));
@@ -108,6 +117,20 @@ mod tests {
         let c2 = publish_artifact(&path, &m2, &[], VERSION).unwrap();
         assert_ne!(c1, c2);
         assert_eq!(Artifact::load(&path).unwrap().meta.n_rows, 5);
+    }
+
+    #[test]
+    fn publish_writes_only_the_current_version() {
+        let dir = tmp_dir();
+        let path = dir.join("skew.fgi");
+        for version in [VERSION_V1, VERSION + 1] {
+            let err = publish_artifact(&path, &meta(), &[], version).unwrap_err();
+            assert!(
+                matches!(err, StoreError::VersionSkew { found, supported: VERSION } if found == version),
+                "{err:?}"
+            );
+        }
+        assert!(!path.exists());
     }
 
     #[test]

@@ -1,8 +1,9 @@
-//! Streaming `.fgi` writer (v1 and v2).
+//! Streaming `.fgi` writer. It writes the current version (v2) only;
+//! v1 files stay readable.
 
 use crate::{
-    ArtifactMeta, Result, StoreError, CHUNK_BITS, HEADER_LEN, HEADER_LEN_V2, LEN_OFFSET, MAGIC,
-    SECTION_DICT, SECTION_GROUPS, SECTION_TRAILER, VERSION, VERSION_V1,
+    ArtifactMeta, Result, StoreError, CHUNK_BITS, LEN_OFFSET, MAGIC, SECTION_DICT, SECTION_GROUPS,
+    SECTION_TRAILER, VERSION,
 };
 use farmer_core::RuleGroup;
 use farmer_support::hash::Fnv1a;
@@ -14,52 +15,36 @@ use std::path::Path;
 ///
 /// The header goes out first with zeroed length/checksum fields; every
 /// payload byte is folded into a running FNV-1a as it is written; and
-/// [`finish`](Self::finish) appends the trailing group count (v2: plus
-/// the section table), then seeks back exactly once to patch the
-/// header. Memory use is constant in the number of groups.
+/// [`finish`](Self::finish) appends the trailing group count and the
+/// section table, then seeks back exactly once to patch the header.
+/// Memory use is constant in the number of groups.
 pub struct ArtifactWriter<W: Write + Seek> {
     w: W,
-    version: u32,
     hasher: Fnv1a,
     payload_len: u64,
     n_groups: u64,
-    /// End of the v2 DICT section (== start of GROUPS).
+    /// End of the DICT section (== start of GROUPS).
     dict_end: u64,
     // dictionary shape, for validating groups as they stream through
     n_rows: u64,
     n_classes: u32,
     n_items: u32,
-    /// Per-class row counts; v2 derives each group's `n_class` from
-    /// these at read time, so the writer must hold groups to them.
+    /// Per-class row counts; the reader derives each group's `n_class`
+    /// from these, so the writer must hold groups to them.
     class_counts: Vec<u64>,
 }
 
 impl<W: Write + Seek> ArtifactWriter<W> {
-    /// Opens a current-version (v2) stream: writes the placeholder
-    /// header and the dictionary section of `meta`.
-    pub fn new(w: W, meta: &ArtifactMeta) -> Result<Self> {
-        Self::new_versioned(w, meta, VERSION)
-    }
-
-    /// Opens a stream in an explicit format version (1 or 2). Any
-    /// other version is [`StoreError::VersionSkew`].
-    pub fn new_versioned(mut w: W, meta: &ArtifactMeta, version: u32) -> Result<Self> {
-        if version != VERSION_V1 && version != VERSION {
-            return Err(StoreError::VersionSkew {
-                found: version,
-                supported: VERSION,
-            });
-        }
+    /// Opens a stream: writes the placeholder header and the dictionary
+    /// section of `meta`.
+    pub fn new(mut w: W, meta: &ArtifactMeta) -> Result<Self> {
         w.write_all(&MAGIC)?;
-        w.write_all(&version.to_le_bytes())?;
+        w.write_all(&VERSION.to_le_bytes())?;
         w.write_all(&0u64.to_le_bytes())?; // payload_len, patched in finish
         w.write_all(&0u64.to_le_bytes())?; // checksum, patched in finish
-        if version == VERSION {
-            w.write_all(&0u64.to_le_bytes())?; // table offset, patched in finish
-        }
+        w.write_all(&0u64.to_le_bytes())?; // table offset, patched in finish
         let mut this = ArtifactWriter {
             w,
-            version,
             hasher: Fnv1a::new(),
             payload_len: 0,
             n_groups: 0,
@@ -70,64 +55,46 @@ impl<W: Write + Seek> ArtifactWriter<W> {
             class_counts: meta.class_counts.clone(),
         };
         debug_assert_eq!(meta.class_names.len(), meta.class_counts.len());
-        if version == VERSION_V1 {
-            this.put_u64(meta.n_rows)?;
-            this.put_u32(this.n_classes)?;
-            for (name, &count) in meta.class_names.iter().zip(&meta.class_counts) {
-                this.put_str(name)?;
-                this.put_u64(count)?;
-            }
-            this.put_u32(this.n_items)?;
-            for name in &meta.item_names {
-                this.put_str(name)?;
-            }
-        } else {
-            let mut dict = Vec::new();
-            varint::write_u64(&mut dict, meta.n_rows);
-            varint::write_u64(&mut dict, this.n_classes as u64);
-            for (name, &count) in meta.class_names.iter().zip(&meta.class_counts) {
-                varint::write_u64(&mut dict, name.len() as u64);
-                dict.extend_from_slice(name.as_bytes());
-                varint::write_u64(&mut dict, count);
-            }
-            varint::write_u64(&mut dict, this.n_items as u64);
-            let mut prev: &str = "";
-            for name in &meta.item_names {
-                let shared = name
-                    .bytes()
-                    .zip(prev.bytes())
-                    .take_while(|(a, b)| a == b)
-                    .count();
-                // never split a UTF-8 sequence: back off to a char
-                // boundary so the suffix stays valid UTF-8 on its own
-                let shared = (0..=shared)
-                    .rev()
-                    .find(|&s| name.is_char_boundary(s))
-                    .unwrap_or(0);
-                varint::write_u64(&mut dict, shared as u64);
-                varint::write_u64(&mut dict, (name.len() - shared) as u64);
-                dict.extend_from_slice(&name.as_bytes()[shared..]);
-                prev = name;
-            }
-            this.put(&dict)?;
-            this.dict_end = this.payload_len;
+        let mut dict = Vec::new();
+        varint::write_u64(&mut dict, meta.n_rows);
+        varint::write_u64(&mut dict, this.n_classes as u64);
+        for (name, &count) in meta.class_names.iter().zip(&meta.class_counts) {
+            varint::write_u64(&mut dict, name.len() as u64);
+            dict.extend_from_slice(name.as_bytes());
+            varint::write_u64(&mut dict, count);
         }
+        varint::write_u64(&mut dict, this.n_items as u64);
+        let mut prev: &str = "";
+        for name in &meta.item_names {
+            let shared = name
+                .bytes()
+                .zip(prev.bytes())
+                .take_while(|(a, b)| a == b)
+                .count();
+            // never split a UTF-8 sequence: back off to a char
+            // boundary so the suffix stays valid UTF-8 on its own
+            let shared = (0..=shared)
+                .rev()
+                .find(|&s| name.is_char_boundary(s))
+                .unwrap_or(0);
+            varint::write_u64(&mut dict, shared as u64);
+            varint::write_u64(&mut dict, (name.len() - shared) as u64);
+            dict.extend_from_slice(&name.as_bytes()[shared..]);
+            prev = name;
+        }
+        this.put(&dict)?;
+        this.dict_end = this.payload_len;
         Ok(this)
-    }
-
-    /// The format version this writer emits.
-    pub fn version(&self) -> u32 {
-        self.version
     }
 
     /// Appends one group record. Groups must refer only to the
     /// dictionary the writer was opened with; a group that does not is
     /// rejected here (as [`StoreError::Corrupt`]) instead of producing
-    /// a file the reader would reject later. Under v2 the derived
-    /// fields must also hold (`n_rows`/`n_class` matching the
-    /// dictionary, `neg_sup == |support| − sup`, lower bounds ⊆ upper
-    /// bound): v2 does not store them, so a group breaking those
-    /// identities is unrepresentable.
+    /// a file the reader would reject later. The derived fields must
+    /// also hold (`n_rows`/`n_class` matching the dictionary,
+    /// `neg_sup == |support| − sup`, lower bounds ⊆ upper bound): v2
+    /// does not store them, so a group breaking those identities is
+    /// unrepresentable.
     pub fn write_group(&mut self, g: &RuleGroup) -> Result<()> {
         if g.class >= self.n_classes {
             return Err(StoreError::corrupt(format!(
@@ -150,36 +117,6 @@ impl<W: Write + Seek> ArtifactWriter<W> {
                 self.n_rows
             )));
         }
-        if self.version == VERSION_V1 {
-            self.write_group_v1(g)?;
-        } else {
-            self.write_group_v2(g)?;
-        }
-        self.n_groups += 1;
-        Ok(())
-    }
-
-    fn write_group_v1(&mut self, g: &RuleGroup) -> Result<()> {
-        self.put_u32(g.class)?;
-        self.put_u64(g.sup as u64)?;
-        self.put_u64(g.neg_sup as u64)?;
-        self.put_u64(g.n_rows as u64)?;
-        self.put_u64(g.n_class as u64)?;
-        self.put_ids(&g.upper)?;
-        self.put_u32(g.lower.len() as u32)?;
-        for l in &g.lower {
-            self.put_ids(l)?;
-        }
-        let words = g.support_set.words();
-        self.put_u64(g.support_set.capacity() as u64)?;
-        self.put_u32(words.len() as u32)?;
-        for &w in words {
-            self.put_u64(w)?;
-        }
-        Ok(())
-    }
-
-    fn write_group_v2(&mut self, g: &RuleGroup) -> Result<()> {
         // v2 derives these at read time; refuse to write a group the
         // reader would reconstruct differently.
         if g.n_rows as u64 != self.n_rows {
@@ -227,22 +164,14 @@ impl<W: Write + Seek> ArtifactWriter<W> {
             }
         }
         encode_rowset(&mut rec, &g.support_set);
-        self.put(&rec)
+        self.put(&rec)?;
+        self.n_groups += 1;
+        Ok(())
     }
 
-    /// Appends the trailing group count (v2: and the section table),
-    /// patches the header, and flushes. Returns the content checksum.
+    /// Appends the trailing group count and the section table, patches
+    /// the header, and flushes. Returns the content checksum.
     pub fn finish(mut self) -> Result<u64> {
-        if self.version == VERSION_V1 {
-            let n = self.n_groups as u32;
-            self.put_u32(n)?;
-            let checksum = self.hasher.finish();
-            self.w.seek(SeekFrom::Start(LEN_OFFSET))?;
-            self.w.write_all(&self.payload_len.to_le_bytes())?;
-            self.w.write_all(&checksum.to_le_bytes())?;
-            self.w.flush()?;
-            return Ok(checksum);
-        }
         let groups_end = self.payload_len;
         let mut trailer = Vec::new();
         varint::write_u64(&mut trailer, self.n_groups);
@@ -269,41 +198,10 @@ impl<W: Write + Seek> ArtifactWriter<W> {
         Ok(checksum)
     }
 
-    /// Total bytes this writer has produced so far (header + payload).
-    pub fn bytes_written(&self) -> u64 {
-        let header = if self.version == VERSION_V1 {
-            HEADER_LEN
-        } else {
-            HEADER_LEN_V2
-        };
-        header as u64 + self.payload_len
-    }
-
     fn put(&mut self, bytes: &[u8]) -> Result<()> {
         self.w.write_all(bytes)?;
         self.hasher.write(bytes);
         self.payload_len += bytes.len() as u64;
-        Ok(())
-    }
-
-    fn put_u32(&mut self, v: u32) -> Result<()> {
-        self.put(&v.to_le_bytes())
-    }
-
-    fn put_u64(&mut self, v: u64) -> Result<()> {
-        self.put(&v.to_le_bytes())
-    }
-
-    fn put_str(&mut self, s: &str) -> Result<()> {
-        self.put_u32(s.len() as u32)?;
-        self.put(s.as_bytes())
-    }
-
-    fn put_ids(&mut self, ids: &rowset::IdList) -> Result<()> {
-        self.put_u32(ids.len() as u32)?;
-        for id in ids.iter() {
-            self.put_u32(id)?;
-        }
         Ok(())
     }
 }
@@ -380,21 +278,11 @@ fn encode_rowset(out: &mut Vec<u8>, s: &rowset::RowSet) {
     }
 }
 
-/// Writes `groups` to `path` in the current format version, creating
-/// or replacing the file. Returns the content checksum.
+/// Writes `groups` to `path`, creating or replacing the file. Returns
+/// the content checksum.
 pub fn save_artifact(path: &Path, meta: &ArtifactMeta, groups: &[RuleGroup]) -> Result<u64> {
-    save_artifact_versioned(path, meta, groups, VERSION)
-}
-
-/// [`save_artifact`] with an explicit format version (1 or 2).
-pub fn save_artifact_versioned(
-    path: &Path,
-    meta: &ArtifactMeta,
-    groups: &[RuleGroup],
-    version: u32,
-) -> Result<u64> {
     let file = std::fs::File::create(path)?;
-    let mut w = ArtifactWriter::new_versioned(std::io::BufWriter::new(file), meta, version)?;
+    let mut w = ArtifactWriter::new(std::io::BufWriter::new(file), meta)?;
     for g in groups {
         w.write_group(g)?;
     }

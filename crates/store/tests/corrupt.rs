@@ -4,7 +4,7 @@
 //! additionally gets per-section structural damage and a resealed
 //! byte-flip sweep across every section.
 
-use farmer_core::{canonical_sort, Farmer, MiningParams};
+use farmer_core::{canonical_sort, dump_groups, Farmer, MiningParams};
 use farmer_dataset::DatasetBuilder;
 use farmer_store::{
     read_artifact, ArtifactMeta, ArtifactWriter, StoreError, HEADER_LEN, HEADER_LEN_V2, VERSION,
@@ -12,8 +12,12 @@ use farmer_store::{
 };
 use std::io::Cursor;
 
-/// A small but non-trivial valid artifact to damage.
+/// A small but non-trivial valid artifact to damage. v1 is the
+/// committed output of the v1 writer (retired) for the same input.
 fn valid_artifact(version: u32) -> Vec<u8> {
+    if version == VERSION_V1 {
+        return include_bytes!("data/v1-small.fgi").to_vec();
+    }
     let mut b = DatasetBuilder::new(2);
     b.add_row([0, 1, 2], 0);
     b.add_row([0, 1], 0);
@@ -32,7 +36,7 @@ fn valid_artifact(version: u32) -> Vec<u8> {
     assert!(!groups.is_empty());
     let meta = ArtifactMeta::from_dataset(&d);
     let mut buf = Cursor::new(Vec::new());
-    let mut w = ArtifactWriter::new_versioned(&mut buf, &meta, version).unwrap();
+    let mut w = ArtifactWriter::new(&mut buf, &meta).unwrap();
     for g in &groups {
         w.write_group(g).unwrap();
     }
@@ -50,9 +54,10 @@ fn header_len(version: u32) -> usize {
 
 #[test]
 fn pristine_bytes_load() {
-    for version in [VERSION_V1, VERSION] {
-        assert!(read_artifact(&valid_artifact(version)).is_ok());
-    }
+    let v1 = read_artifact(&valid_artifact(VERSION_V1)).unwrap();
+    let v2 = read_artifact(&valid_artifact(VERSION)).unwrap();
+    assert_eq!(v1.meta, v2.meta);
+    assert_eq!(dump_groups(&v1.groups), dump_groups(&v2.groups));
 }
 
 #[test]

@@ -1,11 +1,12 @@
 //! Edge cases at the format's encoding boundaries: 10-byte varints,
 //! artifacts with no groups at all, and rowset chunks that end exactly
-//! on (or one row past) the 4096-bit chunk boundary.
+//! on (or one row past) the 4096-bit chunk boundary. Each case is
+//! written and read back in v2, and read from committed v1 bytes of the
+//! same input (`tests/data/v1-*.fgi`, written by the v1 writer before
+//! it was retired).
 
 use farmer_core::RuleGroup;
-use farmer_store::{
-    read_artifact, save_artifact_versioned, Artifact, ArtifactMeta, VERSION, VERSION_V1,
-};
+use farmer_store::{read_artifact, save_artifact, Artifact, ArtifactMeta, VERSION, VERSION_V1};
 use rowset::{IdList, RowSet};
 use std::path::PathBuf;
 
@@ -13,6 +14,18 @@ fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("fgi-edge-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir.join(name)
+}
+
+/// The artifact `meta` and `groups` in v2 (written to a temp file and
+/// loaded back), then in v1 (the committed `tests/data/v1-{name}.fgi`).
+fn both_versions(name: &str, meta: &ArtifactMeta, groups: &[RuleGroup]) -> [(u32, Artifact); 2] {
+    let path = tmp(&format!("{name}-v2.fgi"));
+    save_artifact(&path, meta, groups).unwrap();
+    let v1 = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("tests/data/v1-{name}.fgi"));
+    [
+        (VERSION, Artifact::load(&path).unwrap()),
+        (VERSION_V1, Artifact::load(&v1).unwrap()),
+    ]
 }
 
 /// The largest LEB128 varints (10 bytes for `u64::MAX`) must survive
@@ -27,10 +40,7 @@ fn u64_max_varints_survive_the_dictionary() {
         class_counts: vec![u64::MAX, u64::MAX - 1],
         item_names: vec!["g0".into()],
     };
-    for version in [VERSION_V1, VERSION] {
-        let path = tmp(&format!("maxvarint-v{version}.fgi"));
-        save_artifact_versioned(&path, &meta, &[], version).unwrap();
-        let art = Artifact::load(&path).unwrap();
+    for (version, art) in both_versions("u64-max", &meta, &[]) {
         assert_eq!(art.meta.n_rows, u64::MAX, "v{version}");
         assert_eq!(art.meta.class_counts, vec![u64::MAX, u64::MAX - 1]);
         assert!(art.groups.is_empty());
@@ -39,7 +49,7 @@ fn u64_max_varints_survive_the_dictionary() {
 
 /// An artifact holding zero groups is legal (a fresh deployment before
 /// any mining finishes publishes one): the trailer count must agree
-/// and the file must round-trip through both format versions.
+/// and the file must load in both format versions.
 #[test]
 fn empty_group_list_round_trips() {
     let meta = ArtifactMeta {
@@ -48,20 +58,20 @@ fn empty_group_list_round_trips() {
         class_counts: vec![6, 4],
         item_names: vec!["x".into(), "y".into(), "z".into()],
     };
-    for version in [VERSION_V1, VERSION] {
-        let path = tmp(&format!("empty-v{version}.fgi"));
-        let checksum = save_artifact_versioned(&path, &meta, &[], version).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        let art = read_artifact(&bytes).unwrap();
+    for (version, art) in both_versions("empty", &meta, &[]) {
         assert!(art.groups.is_empty(), "v{version}");
-        assert_eq!(art.meta.item_names, meta.item_names);
-        // Same input, same bytes, same checksum on a rewrite.
-        let path2 = tmp(&format!("empty2-v{version}.fgi"));
-        assert_eq!(
-            save_artifact_versioned(&path2, &meta, &[], version).unwrap(),
-            checksum
-        );
+        assert_eq!(art.meta, meta, "v{version}");
     }
+    // Same input, same bytes, same checksum on a rewrite.
+    let path = tmp("empty.fgi");
+    let checksum = save_artifact(&path, &meta, &[]).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    assert!(read_artifact(&bytes).unwrap().groups.is_empty());
+    assert_eq!(
+        save_artifact(&tmp("empty2.fgi"), &meta, &[]).unwrap(),
+        checksum
+    );
+    assert_eq!(std::fs::read(tmp("empty2.fgi")).unwrap(), bytes);
 }
 
 fn one_group(cap: usize, rows: &[usize]) -> (ArtifactMeta, RuleGroup) {
@@ -103,11 +113,8 @@ fn rowset_chunk_boundary_at_exactly_4096_bits() {
         (4097, &[4095, 4096]), // a run straddling the seam
     ];
     for (case, &(cap, rows)) in cases.iter().enumerate() {
-        for version in [VERSION_V1, VERSION] {
-            let path = tmp(&format!("chunk-{case}-v{version}.fgi"));
-            let (meta, g) = one_group(cap, rows);
-            save_artifact_versioned(&path, &meta, std::slice::from_ref(&g), version).unwrap();
-            let art = Artifact::load(&path).unwrap();
+        let (meta, g) = one_group(cap, rows);
+        for (version, art) in both_versions(&format!("chunk-{case}"), &meta, &[g]) {
             assert_eq!(art.groups.len(), 1, "case {case} v{version}");
             let got = &art.groups[0];
             assert_eq!(got.support_set.capacity(), cap, "case {case} v{version}");
@@ -124,10 +131,7 @@ fn rowset_chunk_boundary_at_exactly_4096_bits() {
 fn dense_run_across_the_chunk_seam_round_trips() {
     let rows: Vec<usize> = (4000..4200).collect();
     let (meta, g) = one_group(8192, &rows);
-    for version in [VERSION_V1, VERSION] {
-        let path = tmp(&format!("seam-run-v{version}.fgi"));
-        save_artifact_versioned(&path, &meta, std::slice::from_ref(&g), version).unwrap();
-        let art = Artifact::load(&path).unwrap();
+    for (version, art) in both_versions("seam-run", &meta, &[g]) {
         assert_eq!(art.groups[0].support_set.to_vec(), rows, "v{version}");
     }
 }

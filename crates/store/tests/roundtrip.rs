@@ -1,10 +1,11 @@
 //! Round-trip property tests: `save → load` must reproduce the mined
 //! rule groups byte-for-byte (as pinned by `farmer_core::dump_groups`)
-//! and the dataset metadata exactly.
+//! and the dataset metadata exactly. v1 is read-only: its leg decodes
+//! committed bytes from `tests/data/`.
 
-use farmer_core::{canonical_sort, dump_groups, Farmer, MiningParams};
+use farmer_core::{canonical_sort, dump_groups, Farmer, MiningParams, RuleGroup};
 use farmer_dataset::{Dataset, DatasetBuilder};
-use farmer_store::{read_artifact, ArtifactMeta, ArtifactWriter, VERSION, VERSION_V1};
+use farmer_store::{read_artifact, ArtifactMeta, ArtifactWriter, HEADER_LEN, VERSION, VERSION_V1};
 use farmer_support::check::prelude::*;
 use std::io::Cursor;
 
@@ -28,7 +29,7 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
 }
 
 /// Mines both classes of `d` in canonical order.
-fn mine_all(d: &Dataset, min_sup: usize) -> Vec<farmer_core::RuleGroup> {
+fn mine_all(d: &Dataset, min_sup: usize) -> Vec<RuleGroup> {
     let mut groups = Vec::new();
     for class in 0..d.n_classes() as u32 {
         groups.extend(
@@ -42,13 +43,9 @@ fn mine_all(d: &Dataset, min_sup: usize) -> Vec<farmer_core::RuleGroup> {
 }
 
 /// Writes to an in-memory buffer via the streaming writer.
-fn save_to_vec_versioned(
-    meta: &ArtifactMeta,
-    groups: &[farmer_core::RuleGroup],
-    version: u32,
-) -> Vec<u8> {
+fn save_to_vec(meta: &ArtifactMeta, groups: &[RuleGroup]) -> Vec<u8> {
     let mut buf = Cursor::new(Vec::new());
-    let mut w = ArtifactWriter::new_versioned(&mut buf, meta, version).unwrap();
+    let mut w = ArtifactWriter::new(&mut buf, meta).unwrap();
     for g in groups {
         w.write_group(g).unwrap();
     }
@@ -56,41 +53,53 @@ fn save_to_vec_versioned(
     buf.into_inner()
 }
 
-/// Writes to an in-memory buffer in the default (current) version.
-fn save_to_vec(meta: &ArtifactMeta, groups: &[farmer_core::RuleGroup]) -> Vec<u8> {
-    save_to_vec_versioned(meta, groups, VERSION)
+/// The byte length of `groups` in the fixed-width v1 layout (see the
+/// `farmer-store` crate docs): the header, the dictionary with
+/// `u32`-length-prefixed names, each record's integers, id lists and
+/// bitset words, and the trailing `u32` group count.
+fn v1_len(meta: &ArtifactMeta, groups: &[RuleGroup]) -> usize {
+    let names = |names: &[String]| names.iter().map(|s| 4 + s.len()).sum::<usize>();
+    let dict = 8 + 4 + names(&meta.class_names) + 8 * meta.n_classes() + 4;
+    let records: usize = groups
+        .iter()
+        .map(|g| {
+            let lower: usize = g.lower.iter().map(|l| 4 + 4 * l.len()).sum();
+            4 + 4 * 8
+                + (4 + 4 * g.upper.len())
+                + 4
+                + lower
+                + 8
+                + 4
+                + 8 * g.support_set.words().len()
+        })
+        .sum();
+    HEADER_LEN + dict + names(&meta.item_names) + records + 4
 }
 
 check! {
     #![config(cases = 48)]
 
     /// save → load reproduces a byte-identical group dump and the
-    /// exact metadata, for arbitrary mined datasets — in both format
-    /// versions, which must agree with each other: the v2 round trip
-    /// of `dump_groups` is pinned byte-identical to the v1 round trip.
+    /// exact metadata, for arbitrary mined datasets, and the loaded
+    /// groups re-serialize to the very same bytes.
     #[test]
     fn save_load_round_trips(d in arb_dataset(), min_sup in 1usize..3) {
         let groups = mine_all(&d, min_sup);
         let meta = ArtifactMeta::from_dataset(&d);
-        let reference = dump_groups(&groups);
-        for version in [VERSION_V1, VERSION] {
-            let bytes = save_to_vec_versioned(&meta, &groups, version);
-            let art = read_artifact(&bytes).unwrap();
-            prop_assert_eq!(&art.meta, &meta);
-            prop_assert_eq!(dump_groups(&art.groups), reference.clone());
-            // Loaded groups re-serialize to the very same bytes.
-            let again = save_to_vec_versioned(&art.meta, &art.groups, version);
-            prop_assert_eq!(again, bytes);
-        }
+        let bytes = save_to_vec(&meta, &groups);
+        let art = read_artifact(&bytes).unwrap();
+        prop_assert_eq!(&art.meta, &meta);
+        prop_assert_eq!(dump_groups(&art.groups), dump_groups(&groups));
+        prop_assert_eq!(save_to_vec(&art.meta, &art.groups), bytes.clone());
         // v2 is the compact encoding: never larger than v1.
-        let v1 = save_to_vec_versioned(&meta, &groups, VERSION_V1);
-        let v2 = save_to_vec_versioned(&meta, &groups, VERSION);
-        prop_assert!(v2.len() <= v1.len(), "v2 {} > v1 {}", v2.len(), v1.len());
+        let v1 = v1_len(&meta, &groups);
+        prop_assert!(bytes.len() <= v1, "v2 {} > v1 {}", bytes.len(), v1);
     }
 }
 
-/// Cross-version matrix: every (write version, read) combination loads
-/// and produces identical groups and metadata.
+/// Cross-version matrix: committed v1 bytes (written by the v1 writer
+/// before it was retired) and fresh v2 bytes of the same three-class
+/// mine load to identical groups and metadata.
 #[test]
 fn cross_version_matrix() {
     let mut b = DatasetBuilder::new(3);
@@ -105,12 +114,13 @@ fn cross_version_matrix() {
     assert!(!groups.is_empty());
     let meta = ArtifactMeta::from_dataset(&d);
     let reference = dump_groups(&groups);
-    for version in [VERSION_V1, VERSION] {
-        let bytes = save_to_vec_versioned(&meta, &groups, version);
+    let v1 = include_bytes!("data/v1-three-class.fgi").to_vec();
+    assert_eq!(v1.len(), v1_len(&meta, &groups));
+    for (version, bytes) in [(VERSION_V1, v1), (VERSION, save_to_vec(&meta, &groups))] {
         assert_eq!(
             u32::from_le_bytes(bytes[4..8].try_into().unwrap()),
             version,
-            "header carries the requested version"
+            "header carries the version"
         );
         let art = read_artifact(&bytes).unwrap();
         assert_eq!(art.meta, meta, "v{version} metadata");

@@ -248,8 +248,9 @@ FARMER_BENCH_SAMPLES=1 cargo bench --offline -p farmer-bench --bench serving
 
 echo "==> live perf guards (scheduler scaling, serving, incremental remine; release)"
 # One test thread: serving_guard's req/s hammer must not run beside its
-# artifact-size test, which mines on the other core.
-cargo test -q --offline --release -p farmer-bench --test scheduler_guard \
+# artifact-size test, which mines on the other core. --no-fail-fast runs
+# every guard binary even when one fails; the step still fails then.
+cargo test -q --offline --release --no-fail-fast -p farmer-bench --test scheduler_guard \
   --test serving_guard --test pipeline_guard -- --ignored --test-threads=1
 
 echo "==> verify OK"
