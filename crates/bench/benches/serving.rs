@@ -1,9 +1,9 @@
-//! Serving-layer benchmarks: the sharded rule-group index `farmer
-//! serve` answers from, against the naive linear scan it replaces, on
+//! Serving-layer benchmarks: the rule-group index `farmer serve`
+//! answers from, against the naive linear scan it replaces, on
 //! artifacts round-tripped through the `.fgi` format exactly as `farmer
 //! serve` loads them.
 
-use farmer_classify::{irg_rule, RuleListClassifier, IRG_FINGERPRINT_THETA};
+use farmer_classify::{irg_rule, RuleListClassifier, ScoredRule, IRG_FINGERPRINT_THETA};
 use farmer_core::{canonical_sort, Farmer, MiningParams, RuleGroup};
 use farmer_dataset::discretize::Discretizer;
 use farmer_dataset::synth::SynthConfig;
@@ -69,14 +69,13 @@ fn match_and_classify(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(3));
     for (name, rows, genes, min_sup) in [("small", 20, 60, 3), ("wide", 30, 200, 5)] {
         let artifact = mined_artifact(rows, genes, min_sup);
-        let offline = RuleListClassifier::from_ranked(
-            artifact
-                .groups
-                .iter()
-                .map(|g| irg_rule(g, IRG_FINGERPRINT_THETA))
-                .collect(),
-            artifact.meta.majority_class(),
-        );
+        let rules: Vec<ScoredRule> = artifact
+            .groups
+            .iter()
+            .map(|g| irg_rule(g, IRG_FINGERPRINT_THETA))
+            .collect();
+        let offline =
+            RuleListClassifier::from_ranked(rules.clone(), artifact.meta.majority_class());
         let queries = samples(&artifact.meta, 64, 12, 7);
         let idx = ShardedIndex::from_artifact(artifact);
 
@@ -89,12 +88,12 @@ fn match_and_classify(c: &mut Criterion) {
         );
         group.bench_with_input(
             BenchmarkId::new("linear_match", name),
-            &(&idx, &queries),
-            |b, (idx, queries)| {
+            &(&rules, &queries),
+            |b, (rules, queries)| {
                 b.iter(|| {
                     queries
                         .iter()
-                        .map(|s| idx.rules().iter().filter(|r| r.matches(s)).count())
+                        .map(|s| rules.iter().filter(|r| r.matches(s)).count())
                         .sum::<usize>()
                 });
             },
@@ -133,17 +132,8 @@ fn index_build(c: &mut Criterion) {
         .sample_size(10)
         .measurement_time(Duration::from_secs(3));
     let artifact = mined_artifact(30, 200, 5);
-    let meta = artifact.meta.clone();
-    let groups = artifact.groups.clone();
     group.bench_function("index_build_wide", |b| {
-        b.iter(|| {
-            ShardedIndex::from_artifact(Artifact {
-                meta: meta.clone(),
-                groups: groups.clone(),
-            })
-            .groups()
-            .len()
-        });
+        b.iter(|| ShardedIndex::from_artifact(artifact.clone()).groups().len());
     });
     group.finish();
 }

@@ -25,7 +25,7 @@ use farmer_core::{canonical_sort, Farmer, MiningParams, RuleGroup};
 use farmer_dataset::synth::PaperDataset;
 use farmer_dataset::Dataset;
 use farmer_serve::{http_get, ArtifactHandle, ServeConfig, ShardedIndex};
-use farmer_store::{save_artifact, Artifact, ArtifactMeta, HEADER_LEN};
+use farmer_store::{save_artifact, Artifact, ArtifactMeta, HEADER_LEN, VERSION};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -56,6 +56,7 @@ fn hammer(d: &Dataset, groups: &[RuleGroup], config: &ServeConfig) -> (f64, u64)
     let index = ShardedIndex::from_artifact(Artifact {
         meta: ArtifactMeta::from_dataset(d),
         groups: groups.to_vec(),
+        version: VERSION,
     });
     let handle = Arc::new(ArtifactHandle::from_index(index));
     let server = farmer_serve::start(handle, config).expect("start server");

@@ -488,7 +488,11 @@ fn publish(miner: &mut IncrementalMiner, config: &PipelineConfig, handle: &Pipel
         // ahead of the artifact on disk; reading it back would only
         // decode what is already in hand.
         Notify::InProcess(h) => {
-            h.install(Artifact { meta, groups }, VERSION);
+            h.install(Artifact {
+                meta,
+                groups,
+                version: VERSION,
+            });
         }
         Notify::Remote { addr, token } => {
             match http_post(addr, "/v1/admin/reload", "{}", token.as_deref()) {
@@ -635,7 +639,7 @@ mod tests {
             let p = Pipeline::start(data.clone(), cfg).unwrap();
             wait_for("seed publish", || p.handle().generation() >= 1);
         }
-        let server = Arc::new(ArtifactHandle::load(&artifact, 0.8, 1).unwrap());
+        let server = Arc::new(ArtifactHandle::load(&artifact, 0.8, 0).unwrap());
         assert_eq!(server.epoch(), 0);
         let mut cfg = PipelineConfig::new(&journal, &artifact);
         cfg.debounce_ms = 50;

@@ -15,7 +15,7 @@
 //! half-built index, and a reload that fails (missing file, corrupt
 //! artifact) leaves the served index untouched.
 
-use crate::shard::{default_shards, ShardedIndex};
+use crate::index::ShardedIndex;
 use farmer_store::Artifact;
 use farmer_support::swap::Swap;
 use farmer_support::thread::Mutex;
@@ -28,9 +28,9 @@ use std::sync::Arc;
 pub struct ArtifactHandle {
     path: Option<PathBuf>,
     theta: f64,
-    n_shards: usize,
-    /// `.fgi` format version of the most recently loaded artifact
-    /// (0 for in-memory handles), surfaced by `/v1/healthz`.
+    /// `.fgi` format version of the artifact the served index was
+    /// decoded from (0 for in-memory handles), surfaced by
+    /// `/v1/healthz`.
     artifact_version: AtomicU32,
     /// Reload attempts (successful or not) since the handle was built.
     /// The initial load is attempt 0; each [`reload`](Self::reload)
@@ -46,16 +46,21 @@ pub struct ArtifactHandle {
 
 impl ArtifactHandle {
     /// Loads `path` and builds the initial index at `theta`.
-    /// `n_shards = 0` picks one shard per available core, up to 8, as
-    /// [`ShardedIndex::from_artifact`] does.
+    /// `n_shards` must be 0: the index is one posting table, and any
+    /// other value is an error.
     pub fn load(path: impl Into<PathBuf>, theta: f64, n_shards: usize) -> Result<Self, String> {
+        if n_shards != 0 {
+            return Err(format!(
+                "n_shards must be 0 (the index is unsharded), got {n_shards}"
+            ));
+        }
         let path = path.into();
-        let index = build_index(load_artifact(&path)?, theta, n_shards);
-        let version = farmer_store::peek_version(&path).unwrap_or(0);
+        let artifact = load_artifact(&path)?;
+        let version = artifact.version;
+        let index = ShardedIndex::build(artifact, theta);
         Ok(ArtifactHandle {
             path: Some(path),
             theta,
-            n_shards,
             artifact_version: AtomicU32::new(version),
             reload_attempts: AtomicU64::new(0),
             last_failure: Mutex::new(None),
@@ -66,12 +71,9 @@ impl ArtifactHandle {
     /// Wraps an index built elsewhere (tests, in-memory pipelines).
     /// [`reload`](Self::reload) fails until the handle has a path.
     pub fn from_index(index: ShardedIndex) -> Self {
-        let theta = index.theta();
-        let n_shards = index.n_shards();
         ArtifactHandle {
             path: None,
-            theta,
-            n_shards,
+            theta: index.theta(),
             artifact_version: AtomicU32::new(0),
             reload_attempts: AtomicU64::new(0),
             last_failure: Mutex::new(None),
@@ -118,14 +120,14 @@ impl ArtifactHandle {
     /// index keeps serving and the error says why.
     pub fn reload(&self) -> Result<Arc<ShardedIndex>, String> {
         let generation = self.reload_attempts.fetch_add(1, Ordering::Relaxed) + 1;
-        let load = || -> Result<(Artifact, Option<u32>), String> {
+        let load = || -> Result<Artifact, String> {
             let Some(path) = &self.path else {
                 return Err("reload unavailable: handle has no artifact path".to_string());
             };
-            Ok((load_artifact(path)?, farmer_store::peek_version(path).ok()))
+            load_artifact(path)
         };
         match load() {
-            Ok((artifact, version)) => Ok(self.swap_in(artifact, version)),
+            Ok(artifact) => Ok(self.swap_in(artifact)),
             Err(e) => {
                 *self.last_failure.lock() = Some((generation, e.clone()));
                 Err(e)
@@ -135,21 +137,20 @@ impl ArtifactHandle {
 
     /// Swaps in an index built from an artifact already in memory, as
     /// [`reload`](Self::reload) would after reading it from disk: the
-    /// attempt is counted and the served format version becomes
-    /// `version`. A publisher that has just made `artifact` durable at
+    /// attempt is counted and the served format version becomes the
+    /// artifact's. A publisher that has just made `artifact` durable at
     /// [`path`](Self::path) calls this to skip reading back what it
     /// wrote; it must call it only once the publish has landed, so the
     /// served index never runs ahead of the file.
-    pub fn install(&self, artifact: Artifact, version: u32) -> Arc<ShardedIndex> {
+    pub fn install(&self, artifact: Artifact) -> Arc<ShardedIndex> {
         self.reload_attempts.fetch_add(1, Ordering::Relaxed);
-        self.swap_in(artifact, Some(version))
+        self.swap_in(artifact)
     }
 
-    fn swap_in(&self, artifact: Artifact, version: Option<u32>) -> Arc<ShardedIndex> {
-        let index = Arc::new(build_index(artifact, self.theta, self.n_shards));
-        if let Some(v) = version {
-            self.artifact_version.store(v, Ordering::Relaxed);
-        }
+    fn swap_in(&self, artifact: Artifact) -> Arc<ShardedIndex> {
+        let version = artifact.version;
+        let index = Arc::new(ShardedIndex::build(artifact, self.theta));
+        self.artifact_version.store(version, Ordering::Relaxed);
         self.current.store(Arc::clone(&index));
         index
     }
@@ -159,22 +160,13 @@ fn load_artifact(path: &Path) -> Result<Artifact, String> {
     Artifact::load(path).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-fn build_index(artifact: Artifact, theta: f64, n_shards: usize) -> ShardedIndex {
-    let n_shards = if n_shards == 0 {
-        default_shards()
-    } else {
-        n_shards
-    };
-    ShardedIndex::build(artifact, theta, n_shards)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use farmer_classify::IRG_FINGERPRINT_THETA;
     use farmer_core::{canonical_sort, Farmer, MiningParams};
     use farmer_dataset::{Dataset, DatasetBuilder};
-    use farmer_store::{save_artifact, ArtifactMeta};
+    use farmer_store::{save_artifact, ArtifactMeta, VERSION};
 
     fn dataset(extra_row: bool) -> Dataset {
         let mut b = DatasetBuilder::new(2);
@@ -207,7 +199,7 @@ mod tests {
     fn reload_swaps_while_old_snapshot_survives() {
         let path = std::env::temp_dir().join(format!("fgi-handle-{}.fgi", std::process::id()));
         let n_before = write_artifact(&path, false);
-        let handle = ArtifactHandle::load(&path, IRG_FINGERPRINT_THETA, 2).unwrap();
+        let handle = ArtifactHandle::load(&path, IRG_FINGERPRINT_THETA, 0).unwrap();
         assert_eq!(handle.epoch(), 0);
 
         // A request in flight snapshots the index once…
@@ -233,7 +225,7 @@ mod tests {
     fn failed_reload_keeps_serving_the_old_index() {
         let path = std::env::temp_dir().join(format!("fgi-handle-bad-{}.fgi", std::process::id()));
         let n = write_artifact(&path, false);
-        let handle = ArtifactHandle::load(&path, IRG_FINGERPRINT_THETA, 1).unwrap();
+        let handle = ArtifactHandle::load(&path, IRG_FINGERPRINT_THETA, 0).unwrap();
 
         std::fs::write(&path, b"garbage, not an artifact").unwrap();
         let err = handle.reload().unwrap_err();
@@ -259,7 +251,7 @@ mod tests {
     fn reload_at_a_missing_artifact_keeps_serving_and_records_the_failure() {
         let path = std::env::temp_dir().join(format!("fgi-handle-gone-{}.fgi", std::process::id()));
         let n = write_artifact(&path, false);
-        let handle = ArtifactHandle::load(&path, IRG_FINGERPRINT_THETA, 1).unwrap();
+        let handle = ArtifactHandle::load(&path, IRG_FINGERPRINT_THETA, 0).unwrap();
         std::fs::remove_file(&path).unwrap();
         assert!(handle.reload().is_err());
         assert_eq!(handle.epoch(), 0);
@@ -268,7 +260,7 @@ mod tests {
     }
 
     #[test]
-    fn default_sharding_serves_the_handle_theta() {
+    fn load_and_reload_serve_the_handle_theta() {
         let path =
             std::env::temp_dir().join(format!("fgi-handle-theta-{}.fgi", std::process::id()));
         write_artifact(&path, false);
@@ -281,15 +273,25 @@ mod tests {
     }
 
     #[test]
+    fn load_refuses_a_nonzero_shard_count() {
+        for n_shards in [1, 2] {
+            let err = ArtifactHandle::load("unread.fgi", IRG_FINGERPRINT_THETA, n_shards)
+                .err()
+                .expect("a nonzero n_shards must be refused");
+            assert!(err.contains("n_shards"), "{err}");
+        }
+    }
+
+    #[test]
     fn pathless_handle_refuses_reload() {
         let d = dataset(false);
         let idx = ShardedIndex::build(
             Artifact {
                 meta: ArtifactMeta::from_dataset(&d),
                 groups: Vec::new(),
+                version: VERSION,
             },
             0.8,
-            1,
         );
         let handle = ArtifactHandle::from_index(idx);
         assert!(handle.path().is_none());

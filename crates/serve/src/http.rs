@@ -54,12 +54,12 @@
 //! and the `farmer_serve_shed_total` counter.
 
 use crate::handle::ArtifactHandle;
+use crate::index::ShardedIndex;
 use crate::ingest::{IngestHook, IngestRow};
 use crate::obs::{
     self, endpoint_counters, status_class_counter, AccessEntry, AccessLog, Endpoint, ServerClock,
     SlowEntry, SlowRing,
 };
-use crate::shard::ShardedIndex;
 use farmer_support::json::{Json, ObjBuilder};
 use farmer_support::thread::{channel, Mutex, Receiver, Sender};
 use farmer_support::trace::{prometheus_text, HistId, RingTracer, TraceSink};
@@ -631,7 +631,6 @@ fn respond(
                 .field("groups", index.groups().len())
                 .field("items", index.meta().n_items())
                 .field("classes", index.meta().n_classes())
-                .field("shards", index.n_shards())
                 .field("epoch", ctx.handle.epoch())
                 .field("version", env!("CARGO_PKG_VERSION"))
                 .field("artifact_version", ctx.handle.artifact_version() as u64)
@@ -889,7 +888,6 @@ fn admin_stats(req: &Request, rid: &str, index: &ShardedIndex, ctx: &ServerCtx) 
         .field("reload_attempts", ctx.handle.reload_attempts())
         .field("failed_generation", failed_generation)
         .field("last_reload_error", last_reload_error)
-        .field("shards", index.n_shards())
         .field("groups", index.groups().len())
         .field("items", index.meta().n_items())
         .field("classes", index.meta().n_classes())

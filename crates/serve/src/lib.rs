@@ -4,16 +4,13 @@
 //! This is the online half of the store→index→serve pipeline
 //! (`farmer-store` is the offline half). The layers, bottom up:
 //!
-//! - [`ShardedIndex`] — inverted item→group posting lists with
-//!   per-class partitions, hash-partitioned across shards (group `gi`
-//!   lives in shard `gi % S` under a local id), built in parallel and
-//!   queried scatter/gather. `matches(sample)` touches only the posting
-//!   lists of the items the sample carries (no linear scan over
-//!   groups); `classify(sample)` reproduces exactly what
+//! - [`ShardedIndex`] — one inverted item→group posting table and a
+//!   precomputed classification ranking. `matches(sample)` touches only
+//!   the posting lists of the items the sample carries (no linear scan
+//!   over groups); `classify(sample)` reproduces exactly what
 //!   `farmer_classify::RuleListClassifier::from_ranked` would predict
 //!   from the same artifact, falling back to the majority class. A
-//!   property test pins both, at every shard count, to those
-//!   references.
+//!   property test pins both to those references.
 //! - [`ArtifactHandle`] — the hot-swappable pointer the server
 //!   actually holds: every request snapshots the current index, and a
 //!   reload (SIGHUP via the CLI, or `POST /v1/admin/reload`) swaps
@@ -42,13 +39,13 @@
 mod client;
 mod handle;
 mod http;
+mod index;
 mod ingest;
 mod obs;
-mod shard;
 pub mod watch;
 
 pub use client::{http_get, http_get_auth, http_post, HttpResponse};
 pub use handle::ArtifactHandle;
 pub use http::{start, ServeConfig, ServerHandle};
+pub use index::{Prediction, ShardedIndex};
 pub use ingest::{IngestHook, IngestRow};
-pub use shard::{Prediction, ShardedIndex};

@@ -195,12 +195,11 @@ fn stats_line(addr: &str, token: Option<&str>) -> String {
                     _ => 0,
                 };
                 format!(
-                    "stats: uptime {:.1}s | epoch {} | groups {} | shards {} | postings {} | \
-                     dropped {} | slow-ring {}",
+                    "stats: uptime {:.1}s | epoch {} | groups {} | postings {} | dropped {} | \
+                     slow-ring {}",
                     num("uptime_ns") as f64 / 1e9,
                     num("epoch"),
                     num("groups"),
-                    num("shards"),
                     num("postings_entries"),
                     num("dropped_events"),
                     slow,

@@ -9,7 +9,7 @@ use farmer_dataset::DatasetBuilder;
 use farmer_serve::{
     http_get, http_get_auth, http_post, start, ArtifactHandle, ServeConfig, ShardedIndex,
 };
-use farmer_store::{save_artifact, Artifact, ArtifactMeta};
+use farmer_store::{save_artifact, Artifact, ArtifactMeta, VERSION};
 use farmer_support::json::Json;
 use std::collections::HashSet;
 use std::io::{Read, Write};
@@ -58,11 +58,10 @@ fn in_memory_handle() -> Arc<ArtifactHandle> {
     let artifact = Artifact {
         meta: ArtifactMeta::from_dataset(&d),
         groups,
+        version: VERSION,
     };
-    Arc::new(ArtifactHandle::from_index(ShardedIndex::build(
+    Arc::new(ArtifactHandle::from_index(ShardedIndex::from_artifact(
         artifact,
-        IRG_FINGERPRINT_THETA,
-        2,
     )))
 }
 
@@ -242,7 +241,14 @@ fn admin_stats_requires_the_bearer_token() {
         slow_ms: 0, // capture everything so the ring is non-empty
         ..ServeConfig::default()
     };
-    let server = start(in_memory_handle(), &config).unwrap();
+    let handle = in_memory_handle();
+    let upper_total: u64 = handle
+        .current()
+        .groups()
+        .iter()
+        .map(|g| g.upper.len() as u64)
+        .sum();
+    let server = start(handle, &config).unwrap();
     let addr = server.addr().to_string();
     let r = http_get(&addr, "/v1/admin/stats").unwrap();
     assert_eq!(
@@ -264,8 +270,17 @@ fn admin_stats_requires_the_bearer_token() {
     let doc = Json::parse(&r.body).unwrap();
     assert!(doc.get("uptime_ns").and_then(Json::as_u64).unwrap() > 0);
     assert_eq!(doc.get("epoch").and_then(Json::as_u64), Some(0));
-    assert_eq!(doc.get("shards").and_then(Json::as_u64), Some(2));
-    assert!(doc.get("postings_entries").and_then(Json::as_u64).unwrap() > 0);
+    assert!(doc.get("shards").is_none(), "{}", r.body);
+    // One posting entry per (item, group) incidence, four bytes each.
+    assert!(upper_total > 0);
+    assert_eq!(
+        doc.get("postings_entries").and_then(Json::as_u64),
+        Some(upper_total)
+    );
+    assert_eq!(
+        doc.get("postings_bytes").and_then(Json::as_u64),
+        Some(4 * upper_total)
+    );
     let counters = doc.get("counters").unwrap();
     assert_eq!(
         counters
@@ -296,7 +311,7 @@ fn admin_stats_requires_the_bearer_token() {
 fn red_counter_families_increment_under_mixed_traffic() {
     let path = tmp("red.fgi");
     write_artifact(&path);
-    let handle = Arc::new(ArtifactHandle::load(&path, IRG_FINGERPRINT_THETA, 2).unwrap());
+    let handle = Arc::new(ArtifactHandle::load(&path, IRG_FINGERPRINT_THETA, 0).unwrap());
     let config = ServeConfig {
         workers: 2,
         max_inflight: 1,
@@ -405,7 +420,7 @@ fn server_requests_shed_is_gone(path: &Path) -> bool {
 fn healthz_reports_build_and_artifact_versions() {
     let path = tmp("healthz.fgi");
     write_artifact(&path);
-    let handle = Arc::new(ArtifactHandle::load(&path, IRG_FINGERPRINT_THETA, 2).unwrap());
+    let handle = Arc::new(ArtifactHandle::load(&path, IRG_FINGERPRINT_THETA, 0).unwrap());
     let server = start(handle, &ServeConfig::default()).unwrap();
     let addr = server.addr().to_string();
     let doc = Json::parse(&http_get(&addr, "/v1/healthz").unwrap().body).unwrap();
@@ -417,6 +432,19 @@ fn healthz_reports_build_and_artifact_versions() {
     assert_eq!(doc.get("artifact_version").and_then(Json::as_u64), Some(2));
     server.shutdown();
     std::fs::remove_file(&path).unwrap();
+
+    // A v1 artifact still loads and serves, and reports version 1.
+    let v1 = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../store/tests/data/v1-small.fgi"
+    );
+    let handle = Arc::new(ArtifactHandle::load(v1, IRG_FINGERPRINT_THETA, 0).unwrap());
+    assert!(!handle.current().groups().is_empty());
+    let server = start(handle, &ServeConfig::default()).unwrap();
+    let addr = server.addr().to_string();
+    let doc = Json::parse(&http_get(&addr, "/v1/healthz").unwrap().body).unwrap();
+    assert_eq!(doc.get("artifact_version").and_then(Json::as_u64), Some(1));
+    server.shutdown();
 
     // An in-memory handle has no artifact on disk: version 0.
     let server = start(in_memory_handle(), &ServeConfig::default()).unwrap();

@@ -64,7 +64,7 @@ fn error_code(body: &str) -> String {
 fn reload_requires_the_bearer_token() {
     let path = tmp("auth.fgi");
     write_artifact(&path, 0);
-    let handle = Arc::new(ArtifactHandle::load(&path, IRG_FINGERPRINT_THETA, 2).unwrap());
+    let handle = Arc::new(ArtifactHandle::load(&path, IRG_FINGERPRINT_THETA, 0).unwrap());
     let server = start(Arc::clone(&handle), &config(Some("sekrit"))).unwrap();
     let addr = server.addr().to_string();
 
@@ -102,7 +102,7 @@ fn reload_requires_the_bearer_token() {
 fn reload_is_disabled_without_a_token() {
     let path = tmp("disabled.fgi");
     write_artifact(&path, 0);
-    let handle = Arc::new(ArtifactHandle::load(&path, IRG_FINGERPRINT_THETA, 1).unwrap());
+    let handle = Arc::new(ArtifactHandle::load(&path, IRG_FINGERPRINT_THETA, 0).unwrap());
     let server = start(handle, &config(None)).unwrap();
     let addr = server.addr().to_string();
     let r = http_post(&addr, "/v1/admin/reload", "", Some("anything")).unwrap();
@@ -122,7 +122,7 @@ fn reload_is_disabled_without_a_token() {
 fn hammer_during_repeated_reloads_drops_nothing() {
     let path = tmp("hammer.fgi");
     let n0 = write_artifact(&path, 0);
-    let handle = Arc::new(ArtifactHandle::load(&path, IRG_FINGERPRINT_THETA, 2).unwrap());
+    let handle = Arc::new(ArtifactHandle::load(&path, IRG_FINGERPRINT_THETA, 0).unwrap());
     let server = start(Arc::clone(&handle), &config(Some("tok"))).unwrap();
     let addr = server.addr().to_string();
 

@@ -6,7 +6,7 @@
 use farmer_core::{canonical_sort, Farmer, MiningParams};
 use farmer_dataset::DatasetBuilder;
 use farmer_serve::{http_get, http_post, start, ArtifactHandle, ServeConfig, ShardedIndex};
-use farmer_store::{Artifact, ArtifactMeta};
+use farmer_store::{Artifact, ArtifactMeta, VERSION};
 use farmer_support::json::Json;
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -35,14 +35,13 @@ fn test_artifact() -> Artifact {
     Artifact {
         meta: ArtifactMeta::from_dataset(&d),
         groups,
+        version: VERSION,
     }
 }
 
 fn test_handle() -> Arc<ArtifactHandle> {
-    Arc::new(ArtifactHandle::from_index(ShardedIndex::build(
+    Arc::new(ArtifactHandle::from_index(ShardedIndex::from_artifact(
         test_artifact(),
-        farmer_classify::IRG_FINGERPRINT_THETA,
-        2,
     )))
 }
 
@@ -80,7 +79,7 @@ fn v1_endpoints_answer() {
         health.get("groups").and_then(Json::as_u64),
         Some(index.groups().len() as u64)
     );
-    assert_eq!(health.get("shards").and_then(Json::as_u64), Some(2));
+    assert!(health.get("shards").is_none(), "{}", h.body);
     assert_eq!(health.get("epoch").and_then(Json::as_u64), Some(0));
 
     let c = http_get(&addr, "/v1/classify?items=i0,i1,i2").unwrap();

@@ -151,7 +151,7 @@ pub use journal::{
 };
 pub use meta::ArtifactMeta;
 pub use publish::publish_artifact;
-pub use reader::{peek_version, read_artifact, Artifact};
+pub use reader::{read_artifact, Artifact};
 pub use writer::{save_artifact, ArtifactWriter};
 
 /// The four magic bytes opening every `.fgi` file.

@@ -17,6 +17,10 @@ pub struct Artifact {
     pub meta: ArtifactMeta,
     /// The stored rule groups, in file order.
     pub groups: Vec<RuleGroup>,
+    /// The `.fgi` format version the groups were read from
+    /// ([`VERSION_V1`] or [`VERSION`]); an artifact built in memory
+    /// carries [`VERSION`], the version a publish would write.
+    pub version: u32,
 }
 
 impl Artifact {
@@ -24,36 +28,6 @@ impl Artifact {
     pub fn load(path: &Path) -> Result<Artifact> {
         read_artifact(&std::fs::read(path)?)
     }
-}
-
-/// Reads just the fixed header of the artifact at `path` and returns
-/// its format version, validating magic and version support but not
-/// the payload. The serving layer surfaces this in `/v1/healthz`
-/// without re-parsing an artifact it has already loaded.
-pub fn peek_version(path: &Path) -> Result<u32> {
-    use std::io::Read;
-    let mut head = Vec::with_capacity(HEADER_LEN);
-    std::fs::File::open(path)?
-        .take(HEADER_LEN as u64)
-        .read_to_end(&mut head)?;
-    if head.len() < HEADER_LEN {
-        return Err(StoreError::Truncated {
-            expected: HEADER_LEN as u64,
-            found: head.len() as u64,
-        });
-    }
-    let magic: [u8; 4] = head[0..4].try_into().unwrap();
-    if magic != MAGIC {
-        return Err(StoreError::BadMagic { found: magic });
-    }
-    let version = u32::from_le_bytes(head[4..8].try_into().unwrap());
-    if version != VERSION_V1 && version != VERSION {
-        return Err(StoreError::VersionSkew {
-            found: version,
-            supported: VERSION,
-        });
-    }
-    Ok(version)
 }
 
 /// Parses an artifact from bytes already in memory.
@@ -115,17 +89,22 @@ pub fn read_artifact(bytes: &[u8]) -> Result<Artifact> {
     if computed != stored {
         return Err(StoreError::ChecksumMismatch { stored, computed });
     }
-    if version == VERSION_V1 {
-        parse_payload(payload)
+    let (meta, groups) = if version == VERSION_V1 {
+        parse_payload(payload)?
     } else {
         let table_offset = u64::from_le_bytes(bytes[24..32].try_into().unwrap());
-        parse_payload_v2(payload, table_offset)
-    }
+        parse_payload_v2(payload, table_offset)?
+    };
+    Ok(Artifact {
+        meta,
+        groups,
+        version,
+    })
 }
 
 /// Parses a payload whose envelope (length, checksum) already passed.
 /// Every failure from here on is [`StoreError::Corrupt`].
-fn parse_payload(payload: &[u8]) -> Result<Artifact> {
+fn parse_payload(payload: &[u8]) -> Result<(ArtifactMeta, Vec<RuleGroup>)> {
     let mut c = Cursor {
         buf: payload,
         pos: 0,
@@ -168,7 +147,7 @@ fn parse_payload(payload: &[u8]) -> Result<Artifact> {
             groups.len()
         )));
     }
-    Ok(Artifact { meta, groups })
+    Ok((meta, groups))
 }
 
 fn read_group(c: &mut Cursor<'_>, meta: &ArtifactMeta, idx: usize) -> Result<RuleGroup> {
@@ -256,7 +235,7 @@ struct Section {
 /// first (bounds-checked against the header's table offset), then each
 /// section through a cursor confined to exactly its declared byte
 /// range.
-fn parse_payload_v2(payload: &[u8], table_offset: u64) -> Result<Artifact> {
+fn parse_payload_v2(payload: &[u8], table_offset: u64) -> Result<(ArtifactMeta, Vec<RuleGroup>)> {
     // --- section table ---------------------------------------------------
     let plen = payload.len() as u64;
     if table_offset > plen {
@@ -406,7 +385,7 @@ fn parse_payload_v2(payload: &[u8], table_offset: u64) -> Result<Artifact> {
             groups.len()
         )));
     }
-    Ok(Artifact { meta, groups })
+    Ok((meta, groups))
 }
 
 fn read_group_v2(c: &mut Cursor<'_>, meta: &ArtifactMeta, idx: usize) -> Result<RuleGroup> {

@@ -128,6 +128,30 @@ fn cross_version_matrix() {
     }
 }
 
+/// `read_artifact` reports the format version of the header it
+/// validated: 1 for every committed v1 fixture, 2 for a fresh file.
+#[test]
+fn read_artifact_reports_the_header_version() {
+    let data = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data");
+    let mut v1_files = 0;
+    for entry in std::fs::read_dir(&data).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if name.starts_with("v1-") && name.ends_with(".fgi") {
+            let art = read_artifact(&std::fs::read(&path).unwrap()).unwrap();
+            assert_eq!(art.version, VERSION_V1, "{name}");
+            v1_files += 1;
+        }
+    }
+    assert!(v1_files > 0, "no v1 fixtures under {}", data.display());
+    let mut b = DatasetBuilder::new(2);
+    b.add_row([0, 1, 2], 0);
+    b.add_row([1, 2], 1);
+    let d = b.build();
+    let bytes = save_to_vec(&ArtifactMeta::from_dataset(&d), &mine_all(&d, 1));
+    assert_eq!(read_artifact(&bytes).unwrap().version, VERSION);
+}
+
 #[test]
 fn file_round_trip_and_checksum_agree() {
     let mut b = DatasetBuilder::new(2);

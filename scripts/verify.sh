@@ -177,6 +177,16 @@ groups_after="$("$client" "$hot_addr" /v1/healthz --expect 200 \
   > "$tmp/stats.json"
 grep -q '"uptime_ns"' "$tmp/stats.json"
 grep -q '"serve_reloads":1' "$tmp/stats.json"
+# with the token, the dashboard's stats line renders the live
+# /v1/admin/stats: the postings size, and no shard count
+"$client" watch "$hot_addr" --frames 1 --interval-ms 100 --token sekrit \
+  > "$tmp/hot_watch.txt"
+grep -q 'stats: uptime' "$tmp/hot_watch.txt"
+grep -q 'postings' "$tmp/hot_watch.txt"
+if grep -q 'shards' "$tmp/hot_watch.txt"; then
+  echo "fgi-client watch still reports shards" >&2
+  exit 1
+fi
 # SIGHUP hot-reloads from disk too
 kill -HUP "$hot_pid"
 for _ in $(seq 1 100); do
