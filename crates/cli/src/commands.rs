@@ -15,7 +15,7 @@ use farmer_core::{
 };
 use farmer_dataset::discretize::Discretizer;
 use farmer_dataset::synth::{PaperDataset, SynthConfig};
-use farmer_dataset::{io as dio, Dataset};
+use farmer_dataset::{check_row, io as dio, Dataset};
 use farmer_pipeline::{Notify, Pipeline, PipelineConfig};
 use farmer_serve::{ArtifactHandle, IngestHook, ServeConfig, ShardedIndex};
 use farmer_store::{dataset_fingerprint, save_artifact, Artifact, ArtifactMeta, JournalWriter};
@@ -633,18 +633,14 @@ fn ingest(a: IngestArgs, out: &mut dyn Write) -> Result<()> {
         let tokens = spec.split(',').map(str::trim).filter(|t| !t.is_empty());
         rows.push((resolve_items(&base, tokens)?, label));
     }
-    for (k, (_, label)) in rows.iter().enumerate() {
-        if *label as usize >= base.n_classes() {
-            return Err(CliError(format!(
-                "row {k}: label {label} out of range (dataset has {} classes)",
-                base.n_classes()
-            )));
-        }
+    for (k, (items, label)) in rows.iter().enumerate() {
+        check_row(items.as_slice(), *label, base.n_items(), base.n_classes())
+            .map_err(|e| CliError(format!("row {k}: {e}")))?;
     }
     // Validated: journal the batch. The fingerprint ties the journal to
     // this base dataset, so a daemon watching it can trust the rows.
     let jpath = a.journal.display().to_string();
-    let mut w = JournalWriter::open_append(&a.journal, dataset_fingerprint(&base))
+    let (mut w, _) = JournalWriter::open_append(&a.journal, dataset_fingerprint(&base))
         .map_err(|e| CliError(format!("{jpath}: {e}")))?;
     for (items, label) in &rows {
         w.append(items, *label)

@@ -87,7 +87,9 @@ MINE OPTIONS:
                       and republish the --save-irgs artifact on deltas
   --journal <p>       the .fgd journal to watch (default: artifact path
                       with a .fgd extension)
-  --remine-debounce-ms <n>  quiet window before a remine (default 500)
+  --remine-debounce-ms <n>  least gap from one remine's end to the
+                      next one's start; rows reaching an idle
+                      pipeline are remined at once (default 500)
   --notify-url <h:p>  POST /v1/admin/reload on this server per publish
   --notify-token <t>  bearer token for --notify-url
   --watch-idle-exit-ms <n>  exit the watch after n ms without activity
@@ -112,7 +114,9 @@ SERVE OPTIONS (farmer serve <artifact.fgi>):
   --base <p>          transaction file the artifact was mined from
   --journal <p>       the .fgd row journal (default: artifact path with
                       a .fgd extension)
-  --remine-debounce-ms <n>  quiet window before a remine (default 500)
+  --remine-debounce-ms <n>  least gap from one remine's end to the
+                      next one's start; rows reaching an idle
+                      pipeline are remined at once (default 500)
   --min-sup/--min-conf/--min-chi/--class/--no-lower-bounds
                       remine thresholds; match the original mine flags
   endpoints (all under /v1/; any other path answers 404):

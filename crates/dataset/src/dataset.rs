@@ -208,20 +208,8 @@ impl Dataset {
     pub fn appended(&self, new_rows: &[(IdList, ClassLabel)]) -> Result<Dataset, String> {
         let n_total = self.n_rows() + new_rows.len();
         for (k, (items, label)) in new_rows.iter().enumerate() {
-            if *label >= self.n_classes {
-                return Err(format!(
-                    "appended row {k}: label {label} out of range (dataset has {} classes)",
-                    self.n_classes
-                ));
-            }
-            if let Some(&m) = items.as_slice().last() {
-                if m as usize >= self.n_items() {
-                    return Err(format!(
-                        "appended row {k}: item id {m} out of range (dataset has {} items)",
-                        self.n_items()
-                    ));
-                }
-            }
+            check_row(items.as_slice(), *label, self.n_items(), self.n_classes())
+                .map_err(|e| format!("appended row {k}: {e}"))?;
         }
         let mut rows = self.rows.clone();
         let mut labels = self.labels.clone();
@@ -330,6 +318,34 @@ impl fmt::Debug for Dataset {
             .field("n_items", &self.n_items())
             .field("n_classes", &self.n_classes())
             .finish()
+    }
+}
+
+/// Checks one untrusted row against the dictionaries of a dataset with
+/// `n_items` items and `n_classes` classes: the label must name a
+/// class, and the item ids must be strictly ascending and name items.
+/// Every door a new row comes through runs it: `farmer ingest`, the
+/// server's ingest endpoint, each journal record a streaming pipeline
+/// reads, and [`Dataset::appended`].
+pub fn check_row(
+    items: &[ItemId],
+    label: ClassLabel,
+    n_items: usize,
+    n_classes: usize,
+) -> Result<(), String> {
+    if label as usize >= n_classes {
+        return Err(format!(
+            "label {label} out of range (dataset has {n_classes} classes)"
+        ));
+    }
+    if items.windows(2).any(|w| w[1] <= w[0]) {
+        return Err("item ids must be strictly ascending".to_string());
+    }
+    match items.last() {
+        Some(&m) if m as usize >= n_items => Err(format!(
+            "item id {m} out of range (dataset has {n_items} items)"
+        )),
+        _ => Ok(()),
     }
 }
 
@@ -609,6 +625,17 @@ mod tests {
                 "item {i}"
             );
         }
+    }
+
+    #[test]
+    fn check_row_names_what_does_not_fit() {
+        assert_eq!(check_row(&[0, 4], 1, 5, 2), Ok(()));
+        assert_eq!(check_row(&[], 0, 5, 2), Ok(()));
+        let err = |items: &[ItemId], label| check_row(items, label, 5, 2).unwrap_err();
+        assert_eq!(err(&[0], 2), "label 2 out of range (dataset has 2 classes)");
+        assert_eq!(err(&[5], 0), "item id 5 out of range (dataset has 5 items)");
+        assert_eq!(err(&[2, 1], 0), "item ids must be strictly ascending");
+        assert_eq!(err(&[1, 1], 0), "item ids must be strictly ascending");
     }
 
     #[test]

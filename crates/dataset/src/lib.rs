@@ -32,7 +32,7 @@ pub mod replicate;
 pub mod select;
 pub mod synth;
 
-pub use dataset::{ClassLabel, Dataset, DatasetBuilder, ItemId, RowId};
+pub use dataset::{check_row, ClassLabel, Dataset, DatasetBuilder, ItemId, RowId};
 pub use matrix::ExpressionMatrix;
 
 /// The running example of the paper (Figure 1(a)): five rows over items

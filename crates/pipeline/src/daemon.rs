@@ -11,12 +11,16 @@
 //!    only validates and appends, then wakes the loop.
 //! 2. **Remine** — the loop tails the journal from the byte offset
 //!    past the last record it took, when an in-process ingest wakes
-//!    it and on a poll that finds other processes' appends. Once the
-//!    journal has been quiet for `debounce_ms` after the last append
-//!    the loop saw (so a burst of arrivals coalesces into one remine —
-//!    single-flight by construction, there is only the one thread), it
-//!    feeds every record taken since the last remine to the miner's
-//!    delta-restricted search.
+//!    it and on a poll that finds other processes' appends. Each
+//!    record gets the ingest door's checks ([`check_row`]); one that
+//!    fails them is skipped on its own. The rows kept are fed to the
+//!    miner's delta-restricted search at once if no remine has
+//!    finished within the last `debounce_ms`. Rows that arrive during
+//!    a remine or inside that window wait until it closes and then go
+//!    into one remine together (single-flight by construction, there
+//!    is only the one thread). So there is at most one generation per
+//!    window, and a row is served at most one window plus one remine
+//!    after the remine it arrived during.
 //! 3. **Publish** — the refreshed groups are written with
 //!    [`farmer_store::publish_artifact`] (temp file → fsync → atomic
 //!    rename → directory fsync), the generation counter bumps, and the
@@ -28,16 +32,17 @@
 //!
 //! Failures never wedge the loop: a publish or notify error is
 //! counted and surfaced in [`PipelineHandle::stats`] /
-//! [`PipelineHandle::metrics_text`], a poison journal row is skipped
-//! past (with the error recorded) rather than retried forever.
+//! [`PipelineHandle::metrics_text`], and a journal row that does not
+//! fit the base dataset is skipped with the error recorded, while the
+//! rows around it still land.
 
 use crate::engine::IncrementalMiner;
 use farmer_core::MiningParams;
-use farmer_dataset::Dataset;
+use farmer_dataset::{check_row, Dataset};
 use farmer_serve::{http_post, ArtifactHandle, IngestHook, IngestRow};
 use farmer_store::{
     dataset_fingerprint, publish_artifact, read_journal_from, Artifact, ArtifactMeta,
-    JournalWriter, JOURNAL_HEADER_LEN, VERSION,
+    JournalRecord, JournalWriter, VERSION,
 };
 use farmer_support::json::{Json, ObjBuilder};
 use farmer_support::thread::Mutex;
@@ -82,11 +87,15 @@ pub struct PipelineConfig {
     pub classes: Option<Vec<u32>>,
     /// Worker threads per mine (0 = sequential).
     pub threads: usize,
-    /// Quiet window: a remine starts once `debounce_ms` have passed
-    /// since the last journal append the daemon saw, so a burst of
-    /// arrivals coalesces into one remine. In-process ingests are seen
-    /// at once; appends by other processes are found by a journal poll
-    /// every `(debounce_ms / 4).clamp(10, 250)` ms.
+    /// The least gap between one generation and the next remine. Rows
+    /// taken when no remine has finished within the last `debounce_ms`
+    /// are remined at once; rows that arrive during a remine or inside
+    /// that window wait until it closes and go into one remine, so
+    /// there is at most one generation per window. Every remine
+    /// attempt opens the window, one whose fold or publish failed
+    /// included. In-process ingests are seen at once; appends by other
+    /// processes are found by a journal poll every
+    /// `(debounce_ms / 4).clamp(10, 250)` ms.
     pub debounce_ms: u64,
     /// Publish notification target.
     pub notify: Notify,
@@ -94,8 +103,8 @@ pub struct PipelineConfig {
 
 impl PipelineConfig {
     /// A config with the given paths and everything else defaulted:
-    /// `min_sup = 1` mining of every class, sequential,
-    /// 200 ms debounce, no notification.
+    /// `min_sup = 1` mining of every class, sequential, a 200 ms
+    /// remine window, no notification.
     pub fn new(journal: impl Into<PathBuf>, artifact: impl Into<PathBuf>) -> Self {
         PipelineConfig {
             journal: journal.into(),
@@ -155,7 +164,7 @@ impl Wake {
 pub struct PipelineHandle {
     writer: Mutex<JournalWriter>,
     n_items: usize,
-    n_classes: u32,
+    n_classes: usize,
     /// Monotonic liveness: rows journaled + publishes landed.
     activity: AtomicU64,
     ingested_rows: AtomicU64,
@@ -176,6 +185,21 @@ pub struct PipelineHandle {
 impl PipelineHandle {
     fn record_error(&self, e: String) {
         *self.last_error.lock() = Some(e);
+    }
+
+    /// The journal records the miner can fold, in order. A record that
+    /// fails the ingest door's checks (another process wrote it) is
+    /// left out on its own and named in the last error by its position
+    /// in the journal; `first` is the position of `records[0]`.
+    fn foldable(&self, records: Vec<JournalRecord>, first: usize) -> Vec<(IdList, u32)> {
+        let mut rows = Vec::with_capacity(records.len());
+        for (k, r) in records.into_iter().enumerate() {
+            match check_row(r.items.as_slice(), r.label, self.n_items, self.n_classes) {
+                Ok(()) => rows.push((r.items, r.label)),
+                Err(e) => self.record_error(format!("skipped journal row {}: {e}", first + k)),
+            }
+        }
+        rows
     }
 
     /// Artifact generation: successful publishes since the daemon
@@ -209,25 +233,8 @@ impl IngestHook for PipelineHandle {
         // Validate the whole batch before journaling anything, so the
         // append loop below can only fail on I/O.
         for (k, (items, label)) in rows.iter().enumerate() {
-            if *label >= self.n_classes {
-                return Err(format!(
-                    "row {k}: label {label} out of range (dataset has {} classes)",
-                    self.n_classes
-                ));
-            }
-            for w in items.windows(2) {
-                if w[1] <= w[0] {
-                    return Err(format!("row {k}: item ids must be strictly ascending"));
-                }
-            }
-            if let Some(&m) = items.last() {
-                if m as usize >= self.n_items {
-                    return Err(format!(
-                        "row {k}: item id {m} out of range (dataset has {} items)",
-                        self.n_items
-                    ));
-                }
-            }
+            check_row(items, *label, self.n_items, self.n_classes)
+                .map_err(|e| format!("row {k}: {e}"))?;
         }
         let mut w = self.writer.lock();
         for (items, label) in rows {
@@ -322,25 +329,19 @@ pub struct Pipeline {
 
 impl Pipeline {
     /// Opens (or creates) the journal against `base`, replays any
-    /// backlog through the miner, publishes the initial artifact when
-    /// there was a backlog or none exists yet, and starts the loop.
+    /// backlog through the miner (skipping, and recording, each row
+    /// that does not fit `base`), publishes the initial artifact when
+    /// rows were replayed or none exists yet, and starts the loop.
     pub fn start(base: Dataset, mut config: PipelineConfig) -> Result<Pipeline, String> {
         let fingerprint = dataset_fingerprint(&base);
-        let writer =
+        let (writer, journal) =
             JournalWriter::open_append(&config.journal, fingerprint).map_err(|e| e.to_string())?;
-        let journal = read_journal_from(&config.journal, JOURNAL_HEADER_LEN as u64)
-            .map_err(|e| e.to_string())?;
-        let offset = journal.end;
-        let backlog: Vec<(IdList, u32)> = journal
-            .records
-            .into_iter()
-            .map(|r| (r.items, r.label))
-            .collect();
+        let (offset, taken) = (journal.end, journal.records.len());
 
         let handle = Arc::new(PipelineHandle {
             writer: Mutex::new(writer),
             n_items: base.n_items(),
-            n_classes: base.n_classes() as u32,
+            n_classes: base.n_classes(),
             activity: AtomicU64::new(0),
             ingested_rows: AtomicU64::new(0),
             applied_rows: AtomicU64::new(0),
@@ -354,6 +355,7 @@ impl Pipeline {
             notify: Mutex::new(std::mem::replace(&mut config.notify, Notify::None)),
             wake: Wake::default(),
         });
+        let backlog = handle.foldable(journal.records, 0);
 
         let classes = config
             .classes
@@ -379,7 +381,7 @@ impl Pipeline {
             let handle = Arc::clone(&handle);
             std::thread::Builder::new()
                 .name("farmer-pipeline".into())
-                .spawn(move || run_loop(miner, config, handle, offset))
+                .spawn(move || run_loop(miner, config, handle, offset, taken))
                 .map_err(|e| format!("spawning pipeline thread: {e}"))?
         };
         Ok(Pipeline {
@@ -409,22 +411,28 @@ impl Drop for Pipeline {
     }
 }
 
+/// Tails the journal from byte `offset`, past the first `taken`
+/// records, and remines what it takes until the pipeline stops.
 fn run_loop(
     mut miner: IncrementalMiner,
     config: PipelineConfig,
     handle: Arc<PipelineHandle>,
     mut offset: u64,
+    mut taken: usize,
 ) {
     let poll = config.poll();
     let debounce = Duration::from_millis(config.debounce_ms);
     let mut delta: Vec<(IdList, u32)> = Vec::new();
-    // When the loop last saw the journal grow; `Some` while a quiet
-    // window is open, i.e. while `delta` waits for its remine.
-    let mut grew_at: Option<Instant> = None;
+    // When the last remine attempt finished: rows taken less than
+    // `debounce` after it wait in `delta`. The loop starts idle, so
+    // the first rows it takes go at once.
+    let mut last: Option<Instant> = None;
     loop {
-        let timeout = match grew_at {
-            Some(t) => poll.min((t + debounce).saturating_duration_since(Instant::now())),
-            None => poll,
+        let timeout = match last {
+            Some(t) if !delta.is_empty() => {
+                poll.min((t + debounce).saturating_duration_since(Instant::now()))
+            }
+            _ => poll,
         };
         if handle.wake.wait(timeout) {
             return;
@@ -434,35 +442,39 @@ fn run_loop(
                 handle
                     .journal_bytes_read
                     .fetch_add(tail.bytes_read, Ordering::Relaxed);
-                if !tail.records.is_empty() {
-                    delta.extend(tail.records.into_iter().map(|r| (r.items, r.label)));
-                    offset = tail.end;
-                    grew_at = Some(Instant::now());
-                }
+                offset = tail.end;
+                let n = tail.records.len();
+                delta.extend(handle.foldable(tail.records, taken));
+                taken += n;
             }
             Err(e) => handle.record_error(format!("journal read: {e}")),
         }
-        // The window closes `debounce` after the last growth seen; then
-        // everything taken by now goes into one remine (single-flight).
-        if grew_at.is_some_and(|t| t.elapsed() >= debounce) {
-            grew_at = None;
-            let delta = std::mem::take(&mut delta);
-            if let Err(e) = miner.apply_rows(&delta) {
-                // A poison row would otherwise hot-loop; skip past it
-                // and surface the error instead.
+        if delta.is_empty() || last.is_some_and(|t| t.elapsed() < debounce) {
+            continue;
+        }
+        // Everything taken by now goes into one remine (single-flight).
+        let delta = std::mem::take(&mut delta);
+        match miner.apply_rows(&delta) {
+            Ok(()) => {
+                handle.remines.fetch_add(1, Ordering::Relaxed);
+                handle
+                    .applied_rows
+                    .fetch_add(delta.len() as u64, Ordering::Relaxed);
+                handle
+                    .current_rows
+                    .store(miner.n_rows() as u64, Ordering::Relaxed);
+                publish(&mut miner, &config, &handle);
+            }
+            // The rows passed `foldable`'s checks, so this is not
+            // expected; drop them rather than retry them forever.
+            Err(e) => {
                 let n = delta.len();
                 handle.record_error(format!("remine skipped {n} journal rows: {e}"));
-                continue;
             }
-            handle.remines.fetch_add(1, Ordering::Relaxed);
-            handle
-                .applied_rows
-                .fetch_add(delta.len() as u64, Ordering::Relaxed);
-            handle
-                .current_rows
-                .store(miner.n_rows() as u64, Ordering::Relaxed);
-            publish(&mut miner, &config, &handle);
         }
+        // Every attempt, failed or not, opens the next window, so
+        // nothing can hot-loop.
+        last = Some(Instant::now());
     }
 }
 
@@ -511,7 +523,7 @@ fn publish(miner: &mut IncrementalMiner, config: &PipelineConfig, handle: &Pipel
 mod tests {
     use super::*;
     use farmer_core::dump_groups;
-    use farmer_store::read_journal;
+    use farmer_store::{read_journal, JOURNAL_HEADER_LEN};
 
     fn base() -> Dataset {
         farmer_dataset::paper_example()
@@ -781,22 +793,106 @@ mod tests {
     }
 
     #[test]
-    fn a_burst_inside_the_quiet_window_is_one_remine() {
-        let (journal, artifact) = paths("burst");
+    fn an_idle_pipeline_remines_at_once_however_long_the_window() {
+        let (journal, artifact) = paths("leading");
+        // Far longer than the 30 s `wait_for`: only a remine that does
+        // not wait out the window can publish in time.
+        let (mut p, server) = serving(&journal, &artifact, 60_000);
+        let h = p.handle();
+        let generation = h.generation();
+        h.ingest(&[(vec![0, 3], 1)]).unwrap();
+        wait_for("leading-edge publish", || server.epoch() >= 1);
+        assert_eq!(h.generation(), generation + 1);
+        assert_eq!(h.applied_rows(), 1);
+        assert_eq!(server.current().meta().n_rows, base().n_rows() as u64 + 1);
+        p.shutdown();
+        let _ = std::fs::remove_file(&journal);
+        let _ = std::fs::remove_file(&artifact);
+    }
+
+    #[test]
+    fn a_steady_stream_is_remined_once_per_window() {
+        let (journal, artifact) = paths("stream");
         let mut cfg = PipelineConfig::new(&journal, &artifact);
         cfg.debounce_ms = 300;
         let mut p = Pipeline::start(base(), cfg).unwrap();
         let h = p.handle();
         let generation = h.generation();
+        // Rows far closer together than the window, for several
+        // windows: a quiet window would never open.
+        let start = Instant::now();
+        let mut sent = 0u32;
+        while start.elapsed() < Duration::from_secs(2) {
+            h.ingest(&[(vec![sent % 4, 4 + sent % 3], sent % 2)])
+                .unwrap();
+            sent += 1;
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        // The first row goes at once, and the window closes several
+        // times more before the stream stops.
+        let during = h.generation() - generation;
+        assert!(
+            during >= 2,
+            "{during} generations while {sent} rows streamed in"
+        );
+        wait_for("stream applied", || h.applied_rows() == sent as u64);
+        assert!(h.last_error().is_none(), "{:?}", h.last_error());
+        p.shutdown();
+        let _ = std::fs::remove_file(&journal);
+        let _ = std::fs::remove_file(&artifact);
+    }
+
+    #[test]
+    fn a_burst_is_at_most_two_remines_a_window_apart() {
+        let (journal, artifact) = paths("burst");
+        let mut cfg = PipelineConfig::new(&journal, &artifact);
+        cfg.debounce_ms = 2_000;
+        let window = Duration::from_millis(cfg.debounce_ms);
+        let mut p = Pipeline::start(base(), cfg).unwrap();
+        let h = p.handle();
+        let generation = h.generation();
+        let start = Instant::now();
         for row in [(vec![0, 3], 1), (vec![1, 2], 0), (vec![4, 5], 1)] {
             h.ingest(&[row]).unwrap();
         }
-        wait_for("burst applied", || h.applied_rows() == 3);
-        // Another full window: nothing may follow the one remine.
-        std::thread::sleep(Duration::from_millis(400));
-        assert_eq!(h.remines.load(Ordering::Relaxed), 1);
-        assert_eq!(h.generation(), generation + 1);
+        // When each generation was first seen: never before it landed.
+        // Done once every row is applied and every remine published.
+        let mut seen = Vec::new();
+        let deadline = start + Duration::from_secs(30);
+        loop {
+            let landed = h.generation() - generation;
+            if landed as usize > seen.len() {
+                seen.resize(landed as usize, Instant::now());
+            }
+            if h.applied_rows() == 3 && landed == h.remines.load(Ordering::Relaxed) {
+                break;
+            }
+            assert!(Instant::now() < deadline, "timed out waiting for the burst");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // A trailing window could not have remined before `start +
+        // window`. The idle pipeline takes the first row at once: the
+        // window is long against the few fsyncs that take.
+        assert!(
+            seen[0] < start + window,
+            "first generation seen {:?} after the burst began",
+            seen[0] - start
+        );
+        // Another full window: nothing may follow.
+        std::thread::sleep(window);
+        let remines = h.remines.load(Ordering::Relaxed);
+        assert!(remines <= 2, "{remines} remines for a burst of three");
+        assert_eq!(h.generation(), generation + remines);
         assert_eq!(h.applied_rows(), 3);
+        // The first generation landed after the burst began, and the
+        // second no sooner than a window after the first.
+        if remines == 2 {
+            assert!(
+                seen[1] >= start + window,
+                "second generation seen {:?} after the burst began",
+                seen[1] - start
+            );
+        }
         p.shutdown();
         let _ = std::fs::remove_file(&journal);
         let _ = std::fs::remove_file(&artifact);
@@ -812,13 +908,13 @@ mod tests {
         let h = p.handle();
         // Another process's append that the ingest door would refuse:
         // an item id past the dataset's dictionary.
-        let mut w = JournalWriter::open_append(&journal, dataset_fingerprint(&data)).unwrap();
+        let (mut w, _) = JournalWriter::open_append(&journal, dataset_fingerprint(&data)).unwrap();
         w.append(&IdList::from_sorted(vec![data.n_items() as u32]), 0)
             .unwrap();
         drop(w);
         wait_for("poison row skipped", || {
             h.last_error()
-                .is_some_and(|e| e.starts_with("remine skipped 1 journal rows"))
+                .is_some_and(|e| e.starts_with("skipped journal row 0: item id"))
         });
         let generation = h.generation();
         h.ingest(&[(vec![0, 3], 1)]).unwrap();
@@ -829,6 +925,50 @@ mod tests {
             Artifact::load(&artifact).unwrap().meta.n_rows,
             data.n_rows() as u64 + 1
         );
+        p.shutdown();
+        let _ = std::fs::remove_file(&journal);
+        let _ = std::fs::remove_file(&artifact);
+    }
+
+    #[test]
+    fn a_poison_row_costs_only_itself_live_and_after_a_restart() {
+        let (journal, artifact) = paths("poison-mixed");
+        let data = base();
+        let (mut p, server) = serving(&journal, &artifact, 200);
+        let h = p.handle();
+        // Another process appends good, poison, good: the poison row's
+        // label names no class.
+        let good = [(vec![0, 3], 1), (vec![1, 2, 5], 0)];
+        let (mut w, _) = JournalWriter::open_append(&journal, dataset_fingerprint(&data)).unwrap();
+        w.append(&IdList::from_sorted(good[0].0.clone()), good[0].1)
+            .unwrap();
+        w.append(&IdList::from_sorted(vec![1]), data.n_classes() as u32)
+            .unwrap();
+        w.append(&IdList::from_sorted(good[1].0.clone()), good[1].1)
+            .unwrap();
+        w.sync().unwrap();
+        drop(w);
+        let skipped = "skipped journal row 1: label 2 out of range (dataset has 2 classes)";
+        let rows = data.n_rows() as u64 + 2;
+        wait_for("good rows served", || {
+            server.current().meta().n_rows == rows
+        });
+        assert_eq!(h.applied_rows(), 2);
+        assert_eq!(h.last_error().as_deref(), Some(skipped));
+        let served = dump_groups(server.current().groups());
+        p.shutdown();
+
+        // A restart replays the same journal: the good rows again, the
+        // poison row skipped again.
+        let mut cfg = PipelineConfig::new(&journal, &artifact);
+        cfg.debounce_ms = 200;
+        let mut p = Pipeline::start(data, cfg).unwrap();
+        let h = p.handle();
+        assert_eq!(h.applied_rows(), 2);
+        assert_eq!(h.last_error().as_deref(), Some(skipped));
+        let replayed = ArtifactHandle::load(&artifact, 0.8, 0).unwrap().current();
+        assert_eq!(replayed.meta().n_rows, rows);
+        assert_eq!(dump_groups(replayed.groups()), served);
         p.shutdown();
         let _ = std::fs::remove_file(&journal);
         let _ = std::fs::remove_file(&artifact);

@@ -19,7 +19,8 @@
 //!   `POST /v1/admin/ingest`, or from another process running
 //!   `farmer ingest`. A background thread, woken by in-process
 //!   ingests and polling for other processes' appends, tails the
-//!   journal, debounces bursts, remines, and atomically publishes.
+//!   journal, remines (at once when idle; a burst waits for the window
+//!   after the last remine and coalesces), and atomically publishes.
 //! - [`Notify`] — what happens after a publish: hand the published
 //!   groups to an in-process [`farmer_serve::ArtifactHandle`]
 //!   (`serve --watch`), hit a remote server's `/v1/admin/reload`, or
@@ -28,12 +29,16 @@
 //! The flow, end to end:
 //!
 //! ```text
-//! farmer ingest ──▶ rows.fgd ──▶ tail+debounce ──▶ IncrementalMiner
+//! farmer ingest ──▶ rows.fgd ──▶ tail+throttle ──▶ IncrementalMiner
 //! POST /v1/admin/ingest ┘ (+ wake)                        │
 //!                                                 groups (exact)
 //!                                                         │
 //!     serve ◀── install ◀── atomic rename ◀── .fgi tmp + fsync
 //! ```
+//!
+//! The throttle remines at once when the pipeline is idle, and at
+//! most once per [`PipelineConfig::debounce_ms`] window when it is
+//! busy.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -39,7 +39,9 @@
 //! a whole frame, because a writer died mid-append — is expected under
 //! crash-append semantics: [`read_journal`] stops there and reports it
 //! via [`Journal::torn_tail`]; [`JournalWriter::open_append`] truncates
-//! it so the next append lands on a clean boundary; [`read_journal_from`]
+//! it so the next append lands on a clean boundary, and hands back the
+//! records before it, so an opener that also replays the journal reads
+//! it once; [`read_journal_from`]
 //! leaves it unread, since to a reader following a live journal it is a
 //! frame still being written. A **checksum mismatch on a complete
 //! frame** is real corruption and always an error.
@@ -278,7 +280,8 @@ pub fn read_journal(path: &Path) -> Result<Journal> {
     })
 }
 
-/// What [`read_journal_from`] found past its offset.
+/// What [`read_journal_from`] found past its offset, or what
+/// [`JournalWriter::open_append`] found in the journal it opened.
 #[derive(Clone, Debug)]
 pub struct JournalTail {
     /// Every complete, checksum-verified record after the offset.
@@ -369,10 +372,18 @@ impl JournalWriter {
     /// Validates the header, checks the fingerprint against
     /// `fingerprint`, and truncates any torn trailing frame so the next
     /// append starts on a clean record boundary. Complete frames are
-    /// checksum-verified on the way.
-    pub fn open_append(path: &Path, fingerprint: u64) -> Result<JournalWriter> {
+    /// checksum-verified on the way, and returned: the tail holds every
+    /// record already in the journal (those [`read_journal`] reads) and
+    /// the offset past the last one, where a reader following the
+    /// journal with [`read_journal_from`] goes on.
+    pub fn open_append(path: &Path, fingerprint: u64) -> Result<(JournalWriter, JournalTail)> {
         if !path.exists() {
-            return Self::create(path, fingerprint);
+            let empty = JournalTail {
+                records: Vec::new(),
+                end: JOURNAL_HEADER_LEN as u64,
+                bytes_read: 0,
+            };
+            return Ok((Self::create(path, fingerprint)?, empty));
         }
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
         let mut bytes = Vec::new();
@@ -385,14 +396,21 @@ impl JournalWriter {
                  different dataset"
             )));
         }
-        let (_, end, torn) = scan_records(&bytes[JOURNAL_HEADER_LEN..], JOURNAL_HEADER_LEN as u64)?;
+        let body = &bytes[JOURNAL_HEADER_LEN..];
+        let (records, end, torn) = scan_records(body, JOURNAL_HEADER_LEN as u64)?;
+        let end = (JOURNAL_HEADER_LEN + end) as u64;
         if torn {
-            file.set_len((JOURNAL_HEADER_LEN + end) as u64)?;
+            file.set_len(end)?;
             file.sync_data()?;
         }
         drop(file);
         let file = OpenOptions::new().append(true).open(path)?;
-        Ok(JournalWriter { file })
+        let tail = JournalTail {
+            records,
+            end,
+            bytes_read: body.len() as u64,
+        };
+        Ok((JournalWriter { file }, tail))
     }
 
     /// Appends one row as a single atomic frame write.
@@ -453,7 +471,7 @@ mod tests {
         let mut w = JournalWriter::create(&path, 7).unwrap();
         w.append(&ids(&[1]), 0).unwrap();
         drop(w);
-        let mut w = JournalWriter::open_append(&path, 7).unwrap();
+        let (mut w, _) = JournalWriter::open_append(&path, 7).unwrap();
         w.append(&ids(&[2, 5]), 1).unwrap();
         drop(w);
         let j = read_journal(&path).unwrap();
@@ -483,13 +501,49 @@ mod tests {
         assert!(j.torn_tail);
         assert_eq!(j.records.len(), 1);
         // Reopening truncates the torn bytes and appends cleanly.
-        let mut w = JournalWriter::open_append(&path, 9).unwrap();
+        let (mut w, _) = JournalWriter::open_append(&path, 9).unwrap();
         w.append(&ids(&[3]), 1).unwrap();
         drop(w);
         let j = read_journal(&path).unwrap();
         assert!(!j.torn_tail);
         assert_eq!(j.records.len(), 2);
         assert_eq!(j.records[1].items.as_slice(), &[3]);
+    }
+
+    #[test]
+    fn open_append_returns_the_records_read_journal_reads() {
+        let path = tmp("opened.fgd");
+        let mut w = JournalWriter::create(&path, 5).unwrap();
+        let rows: [(&[u32], u32); 3] = [(&[0, 3], 1), (&[], 0), (&[2, 7, 9], 0)];
+        for (items, label) in rows {
+            w.append(&ids(items), label).unwrap();
+        }
+        drop(w);
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(&[9, 0, 0, 0, 1]).unwrap();
+        drop(f);
+        let torn_len = std::fs::metadata(&path).unwrap().len();
+        let j = read_journal(&path).unwrap();
+        assert!(j.torn_tail);
+
+        let (mut w, opened) = JournalWriter::open_append(&path, 5).unwrap();
+        assert_eq!(opened.records, j.records);
+        assert_eq!(opened.end, std::fs::metadata(&path).unwrap().len());
+        assert_eq!(opened.end, torn_len - 5);
+        assert_eq!(opened.bytes_read, torn_len - JOURNAL_HEADER_LEN as u64);
+        // A reader following the journal goes on from `end`.
+        w.append(&ids(&[4]), 1).unwrap();
+        let next = read_journal_from(&path, opened.end).unwrap();
+        assert_eq!(next.records.len(), 1);
+        assert_eq!(next.records[0].items.as_slice(), &[4]);
+
+        // A new journal opens empty, with the tail right past its header.
+        let fresh = tmp("opened-fresh.fgd");
+        let _ = std::fs::remove_file(&fresh);
+        let (_, opened) = JournalWriter::open_append(&fresh, 5).unwrap();
+        assert!(opened.records.is_empty());
+        assert_eq!(opened.end, JOURNAL_HEADER_LEN as u64);
+        assert_eq!(opened.bytes_read, 0);
     }
 
     #[test]

@@ -201,9 +201,13 @@ echo "==> streaming pipeline smoke (ingest -> remine -> hot publish)"
 ./target/release/farmer mine --in "$tmp/m.txt" --min-sup 3 \
   --save-irgs "$tmp/live.fgi" > /dev/null
 : > "$tmp/live.log"
+# The 30 s remine window is three times the 10 s wait for "epoch":1
+# below: the row can only show up in time if the idle pipeline remines
+# it at once (its poll, clamped to 250 ms, finds the other process's
+# append) rather than waiting the window out.
 ./target/release/farmer serve "$tmp/live.fgi" --workers 2 \
   --watch --base "$tmp/m.txt" --journal "$tmp/live.fgd" \
-  --remine-debounce-ms 100 --min-sup 3 --class 1 \
+  --remine-debounce-ms 30000 --min-sup 3 --class 1 \
   --admin-token sekrit --idle-exit-ms 4000 > "$tmp/live.log" &
 live_pid=$!
 live_addr=""
