@@ -3,17 +3,19 @@
 //! general group (one whose upper bound is a proper subset of its own)
 //! is at least as confident. In [`generality_order`] every more general
 //! group is judged first (Lemma 3.4), so one pass through a
-//! [`GeneralityIndex`] decides every group. FARMER's sequential search
-//! makes the pass as it emits; [`keep_interesting`] makes it over a
-//! batch, for the parallel merge, the pipeline and the baselines. Only
-//! the brute-force oracle ([`naive`](crate::naive)) keeps its own copy,
-//! as the reference.
+//! [`GeneralityIndex`] decides every group. FARMER's search makes the
+//! pass as it emits, in each parallel worker too; [`keep_interesting`]
+//! makes it over a batch, for the pass after the search (the parallel
+//! merge, and runs that can find a group twice), the pipeline and the
+//! baselines. Only the brute-force oracle ([`naive`](crate::naive))
+//! keeps its own copy, as the reference.
 
 use crate::measures::{self, chi_square, Contingency};
 use crate::params::{ExtraConstraint, MiningParams};
 use crate::rule::MineStats;
 use crate::session::{MineObserver, PruneReason};
-use rowset::IdList;
+use farmer_dataset::ItemId;
+use rowset::{is_subset_sorted, IdList};
 use std::cmp::Ordering;
 
 /// Step 7's thresholds for one mine: the `min_sup`, `min_conf`,
@@ -160,8 +162,8 @@ where
     let mut index = GeneralityIndex::new();
     for i in 0..cands.len() {
         let (upper, sup_p, sup_n) = group(&cands[i]);
-        let conf = confidence(sup_p, sup_n);
-        if index.has_dominator(upper, conf, |id| group(&cands[id as usize]).0) {
+        let (upper, conf) = (upper.as_slice(), confidence(sup_p, sup_n));
+        if index.has_dominator(upper, conf, |id| group(&cands[id as usize]).0.as_slice()) {
             stats.rejected_not_interesting += 1;
             obs.pruned(PruneReason::NotInteresting);
         } else {
@@ -192,23 +194,24 @@ where
 ///
 /// The index does not own the upper bounds. Entries carry a
 /// caller-chosen id, and queries resolve ids through a lookup closure,
-/// so FARMER's sequential step 7 and [`keep_interesting`] each keep
-/// their groups where they already are.
+/// so FARMER's step 7 and [`keep_interesting`] each keep their groups
+/// where they already are. Upper bounds go in and come back as
+/// borrowed, strictly ascending item slices, so a search can ask about
+/// a node's items before it builds a list for the group.
 ///
 /// ```
 /// use farmer_core::GeneralityIndex;
-/// use rowset::IdList;
 ///
-/// let uppers = [IdList::from_iter([1, 4]), IdList::from_iter([1, 4, 7])];
+/// let uppers: [&[u32]; 2] = [&[1, 4], &[1, 4, 7]];
 /// let mut index = GeneralityIndex::new();
-/// index.insert(0, &uppers[0], 0.9);
-/// let upper_of = |id: u32| &uppers[id as usize];
+/// index.insert(0, uppers[0], 0.9);
+/// let upper_of = |id: u32| uppers[id as usize];
 /// // {1,4} is more general than {1,4,7} and at least as confident
-/// assert!(index.has_dominator(&uppers[1], 0.9, upper_of));
-/// assert!(!index.has_dominator(&uppers[1], 0.95, upper_of));
+/// assert!(index.has_dominator(uppers[1], 0.9, upper_of));
+/// assert!(!index.has_dominator(uppers[1], 0.95, upper_of));
 /// // equal upper bounds are duplicates, not dominators
-/// assert!(index.contains(&uppers[0], upper_of));
-/// assert!(!index.has_dominator(&uppers[0], 0.5, upper_of));
+/// assert!(index.contains(uppers[0], upper_of));
+/// assert!(!index.has_dominator(uppers[0], 0.5, upper_of));
 /// ```
 #[derive(Default)]
 pub struct GeneralityIndex {
@@ -235,13 +238,13 @@ impl GeneralityIndex {
     /// Adds the group `id` with upper bound `upper` and confidence
     /// `conf`. Later queries pass a closure mapping `id` back to
     /// `upper`.
-    pub fn insert(&mut self, id: u32, upper: &IdList, conf: f64) {
+    pub fn insert(&mut self, id: u32, upper: &[ItemId], conf: f64) {
         let entry = Entry {
             id,
             len: upper.len() as u32,
             conf,
         };
-        match upper.as_slice().first() {
+        match upper.first() {
             None => self.empty.push(entry),
             Some(&first) => {
                 let first = first as usize;
@@ -254,8 +257,8 @@ impl GeneralityIndex {
     }
 
     /// `true` iff some inserted group's upper bound equals `upper`.
-    pub fn contains<'a>(&self, upper: &IdList, upper_of: impl Fn(u32) -> &'a IdList) -> bool {
-        let bucket = match upper.as_slice().first() {
+    pub fn contains<'a>(&self, upper: &[ItemId], upper_of: impl Fn(u32) -> &'a [ItemId]) -> bool {
+        let bucket = match upper.first() {
             None => Some(&self.empty),
             Some(&first) => self.buckets.get(first as usize),
         };
@@ -270,18 +273,20 @@ impl GeneralityIndex {
     /// `a.conf >= conf`.
     pub fn has_dominator<'a>(
         &self,
-        upper: &IdList,
+        upper: &[ItemId],
         conf: f64,
-        upper_of: impl Fn(u32) -> &'a IdList,
+        upper_of: impl Fn(u32) -> &'a [ItemId],
     ) -> bool {
         let dominates = |e: &Entry| {
-            (e.len as usize) < upper.len() && e.conf >= conf && upper_of(e.id).is_subset(upper)
+            (e.len as usize) < upper.len()
+                && e.conf >= conf
+                && is_subset_sorted(upper_of(e.id), upper)
         };
         // items ascend, so the first absent bucket ends the scan
         self.empty.iter().any(dominates)
             || upper
                 .iter()
-                .map_while(|item| self.buckets.get(item as usize))
+                .map_while(|&item| self.buckets.get(item as usize))
                 .any(|bucket| bucket.iter().any(dominates))
     }
 }

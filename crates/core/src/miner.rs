@@ -44,14 +44,15 @@ impl Farmer {
     }
 
     /// Switches the search into *harvest mode*: every closed group
-    /// passing the support/confidence/χ² thresholds is returned, with
-    /// the step-7 interestingness comparison skipped entirely (not
-    /// merely deferred to the parallel merge). The incremental remine
-    /// engine needs this because interestingness is a *global* property
-    /// — a group untouched by a delta can become interesting when a
-    /// delta kills its dominator — so the pipeline caches the full
-    /// threshold-passing set and re-runs the comparison itself at
-    /// publish time.
+    /// passing the support/confidence/χ² thresholds is returned, in
+    /// generality order at every thread count, with the step-7
+    /// interestingness comparison skipped entirely: neither the search
+    /// nor a parallel worker rejects a group, and the merge only drops
+    /// repeats. The incremental remine engine needs this because
+    /// interestingness is a *global* property — a group untouched by a
+    /// delta can become interesting when a delta kills its dominator —
+    /// so the pipeline caches the full threshold-passing set and
+    /// re-runs the comparison itself at publish time.
     pub fn with_harvest(mut self, on: bool) -> Self {
         self.harvest = on;
         self
@@ -94,15 +95,19 @@ impl Farmer {
     /// The subtrees are independent: pruning strategies 1–3 depend only
     /// on a node's own path, so each worker claims root candidates from
     /// a shared work-stealing queue and searches them with the full
-    /// machinery, and the interestingness comparison of step 7 — the
-    /// only globally ordered step — runs as a definition-equivalent
-    /// post-pass over the merged groups; the accepted groups' lower
-    /// bounds (MineLB) are then computed on `threads` threads as well.
-    /// Results are identical to the
-    /// sequential run (enforced by tests). A node budget is drawn from
-    /// one shared pool, so a budgeted run expands exactly `budget` nodes
-    /// in total regardless of thread count (which nodes depends on the
-    /// interleaving; see `run_parallel`).
+    /// machinery. Step 7's interestingness comparison is the only
+    /// globally ordered step. Each worker drops the groups that a more
+    /// general group it has accepted itself dominates, which is exact
+    /// whatever the others find, and the merge runs the comparison
+    /// again over what the workers kept, for the dominators another
+    /// worker found. The accepted groups' lower bounds (MineLB) are
+    /// then computed on `threads` threads as well. Groups, `MineStats`
+    /// and observer totals are identical to the sequential run's
+    /// (enforced by tests), except that each worker counts the shared
+    /// root once. A node budget is drawn from one shared pool, so a
+    /// budgeted run expands exactly `budget` nodes in total regardless
+    /// of thread count (which nodes depends on the interleaving; see
+    /// `run_parallel`).
     pub fn with_parallelism(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
@@ -129,6 +134,8 @@ impl Farmer {
     /// sequential run's discovery order accepted before the halting node
     /// — every group valid, none added on the unwind — and
     /// `stats.budget_exhausted` / `stats.stop` record the truncation.
+    /// (In harvest mode or with pruning strategy 1 or 2 off, step 7 runs
+    /// after the search, and the same groups come in generality order.)
     ///
     /// ```
     /// use farmer_core::{CountingObserver, Farmer, MineControl, MiningParams, StopCause};
@@ -251,13 +258,55 @@ impl Farmer {
             worker_nodes: vec![search.stats.nodes_visited],
             peak_arena_depth,
         };
-        let (irgs, stats) = (search.policy.irgs, search.stats);
+        let (policy, mut stats) = (search.policy, search.stats);
+        let irgs = if policy.defer_interesting {
+            self.finish(policy.irgs, &mut stats, obs)
+        } else {
+            policy.irgs
+        };
         self.package(irgs, stats, sched, reordered, order, n, m, tracer)
+    }
+
+    /// Step 7 over the groups that searches stored unjudged: a parallel
+    /// run's workers, or a sequential run with
+    /// [`defer_interesting`](IrgPolicy::defer_interesting) on. Sorts
+    /// `stored` into [`generality_order`], where the copies of a group
+    /// found more than once (only possible with pruning strategy 1 or
+    /// 2 off) sit together and are identical. In harvest mode it keeps
+    /// one copy of each; otherwise [`keep_interesting`] keeps the
+    /// groups no more general one dominates, counting each rejection.
+    /// `obs` sees a `group_emitted` per kept group and a
+    /// `pruned(NotInteresting)` per rejection, in generality order.
+    fn finish<O: MineObserver + ?Sized>(
+        &self,
+        mut stored: Vec<Pending>,
+        stats: &mut MineStats,
+        obs: &mut O,
+    ) -> Vec<Pending> {
+        stored.sort_unstable_by(|a, b| generality_order(&a.upper, &b.upper));
+        if !self.harvest {
+            return keep_interesting(stored, |p| (&p.upper, p.sup_p, p.sup_n), stats, obs);
+        }
+        // harvest mode returns the full threshold-passing set; the
+        // caller owns the interestingness comparison
+        stored.dedup_by(|a, b| a.upper == b.upper);
+        for p in &stored {
+            obs.group_emitted(p.sup_p, p.sup_n);
+        }
+        stored
     }
 
     /// The search of a sequential run, which a parallel worker adjusts
     /// to its own: FARMER's policy under this miner's pruning switches,
-    /// frontier and harvest mode.
+    /// frontier and harvest mode. Step 7's comparison runs in the
+    /// search unless the run is in harvest mode, which wants every
+    /// threshold-passing group, or the search can find a group more
+    /// than once, when a group rejected at each discovery would be
+    /// counted at each. Strategies 1 and 2 together find each closed
+    /// group once (Lemmas 3.5 and 3.6). Without strategy 2 a duplicate
+    /// subtree is searched again; without strategy 1 a candidate row in
+    /// every tuple of a node leads to a child with the node's own upper
+    /// bound.
     fn search<'a, O, T>(
         &'a self,
         n: usize,
@@ -276,7 +325,8 @@ impl Farmer {
             thresholds: Thresholds::new(&self.params, n, m),
             irgs: Vec::new(),
             accepted: GeneralityIndex::new(),
-            defer_interesting: self.harvest,
+            defer_interesting: self.harvest
+                || !(self.pruning.strategy1_compression && self.pruning.strategy2_duplicate),
             split: None,
             current_root: 0,
         };
@@ -300,16 +350,27 @@ impl Farmer {
     /// claimant replays the child's exact recursion state from the
     /// shared root scan — the visited-node multiset is identical to the
     /// unsplit run, so [`MineStats`] stay deterministic.
-    /// Threshold-passing groups are merged and [`keep_interesting`]
-    /// runs step 7 over them as a final pass (equivalent by Lemma 3.4);
-    /// for complete runs the merged output and [`MineStats`] are
-    /// deterministic regardless of scheduling. The workers run
-    /// uninstrumented (their `MineStats`
-    /// already tally everything); after the join, `obs` receives each
-    /// worker's counters via [`MineObserver::worker_finished`] in
-    /// worker-index order, and the sequential merge pass fires the
-    /// `group_emitted` / `pruned(NotInteresting)` events — a
-    /// deterministic event sequence regardless of thread scheduling.
+    ///
+    /// Each worker runs step 7 as the sequential search does, against
+    /// the groups it has accepted itself, unless the run defers it
+    /// (harvest mode, or pruning strategy 1 or 2 off; see
+    /// [`search`](Self::search)). A group it rejects has a more general,
+    /// at least as confident, threshold-passing group, and then the most
+    /// general such group is interesting and dominates it too, so the
+    /// rejection is final. The merge runs step 7 again over the groups
+    /// the workers kept ([`finish`](Self::finish)), for the dominators
+    /// another worker found, so each group that is not interesting is
+    /// rejected exactly once, by its worker or by the merge, and the
+    /// rejections add up to the sequential run's. For complete runs the
+    /// merged output and [`MineStats`] are deterministic regardless of
+    /// scheduling, although the split of the rejections between the
+    /// workers and the merge is not. The workers run uninstrumented
+    /// (their `MineStats` already tally everything, their rejections
+    /// included); after the join, `obs` receives each worker's counters
+    /// via [`MineObserver::worker_finished`] in worker-index order, and
+    /// the sequential merge pass then fires the `group_emitted` /
+    /// `pruned(NotInteresting)` events, so the observer's totals equal
+    /// the run's `MineStats`.
     ///
     /// All workers share the control's stop flag and deadline, and draw
     /// nodes from one [`SharedBudget`] pool, so a budgeted run expands
@@ -393,7 +454,6 @@ impl Farmer {
                         search.ctl = ctl.state_with_shared(budget);
                         search.heartbeat_every = 0;
                         search.lane = lane;
-                        search.policy.defer_interesting = true;
                         search.policy.split = Some(SplitCtx {
                             deque: &deques[w],
                             hungry,
@@ -556,43 +616,19 @@ impl Farmer {
             obs.worker_finished(worker, s);
         }
 
-        // merge: combine stats, then dedupe by upper bound
+        // merge: sum the tallies, then step 7 over every worker's groups
         let _merge = trace::span(tracer, trace::LANE_MAIN, trace::SPAN_MERGE);
         let mut stats = MineStats::default();
         let mut sched = SchedStats::default();
         let mut pendings: Vec<Pending> = Vec::new();
         for (worker_pendings, s, steals, peak) in results {
-            stats.nodes_visited += s.nodes_visited;
-            stats.pruned_duplicate += s.pruned_duplicate;
-            stats.pruned_loose += s.pruned_loose;
-            stats.pruned_tight_support += s.pruned_tight_support;
-            stats.pruned_tight_confidence += s.pruned_tight_confidence;
-            stats.pruned_chi += s.pruned_chi;
-            stats.pruned_floor += s.pruned_floor;
-            stats.pruned_frontier += s.pruned_frontier;
-            stats.rows_compressed += s.rows_compressed;
-            stats.budget_exhausted |= s.budget_exhausted;
-            stats.stop = stats.stop.merge(s.stop);
+            stats.absorb(&s);
             sched.steals += steals;
             sched.worker_nodes.push(s.nodes_visited);
             sched.peak_arena_depth = sched.peak_arena_depth.max(peak);
             pendings.extend(worker_pendings);
         }
-        // generality order; a group found by two workers (only possible
-        // with strategy 2 off) sorts next to itself, and its copies are
-        // identical, so keeping any one is exact
-        pendings.sort_unstable_by(|a, b| generality_order(&a.upper, &b.upper));
-        let accepted = if self.harvest {
-            // harvest mode returns the full threshold-passing set; the
-            // caller owns the interestingness comparison
-            pendings.dedup_by(|a, b| a.upper == b.upper);
-            for p in &pendings {
-                obs.group_emitted(p.sup_p, p.sup_n);
-            }
-            pendings
-        } else {
-            keep_interesting(pendings, |p| (&p.upper, p.sup_p, p.sup_n), &mut stats, obs)
-        };
+        let accepted = self.finish(pendings, &mut stats, obs);
         drop(_merge);
         self.package(accepted, stats, sched, reordered, order, n, m, tracer)
     }
@@ -742,8 +778,13 @@ struct IrgPolicy<'a> {
     irgs: Vec<Pending>,
     /// `irgs` keyed for step 7, ids being positions in `irgs`.
     accepted: GeneralityIndex,
-    /// Parallel mode: skip the step-7 interestingness comparison here
-    /// and let the merge phase run it over all threads' groups.
+    /// Store every new threshold-passing group unjudged, and leave the
+    /// step-7 comparison to [`Farmer::finish`] after the search: set in
+    /// harvest mode and with pruning strategy 1 or 2 off (see
+    /// [`Farmer::search`]). When unset, a group that an accepted, more
+    /// general group dominates is rejected here, in a parallel worker
+    /// too: that group is not interesting whatever the other workers
+    /// find, and the merge's pass judges the rest.
     defer_interesting: bool,
     /// Parallel mode: the deque/starvation hooks for adaptive
     /// splitting. `None` in sequential runs.
@@ -839,35 +880,41 @@ impl Policy for IrgPolicy<'_> {
     }
 
     /// Step 7: the thresholds, then the interestingness comparison
-    /// against every more general group accepted so far.
+    /// against every more general group accepted so far, or, when
+    /// deferring, only the check for a repeat. Both ask the index about
+    /// the node's own items, which ascend, so a rejected or repeated
+    /// group allocates nothing.
     fn emit(&mut self, items: &[ItemId], z: &RowSet, sup_p: usize, sup_n: usize) -> Emit {
         let Some(conf) = self.thresholds.accept(sup_p, sup_n) else {
             return Emit::Skip;
         };
-        let upper = IdList::from_iter(items.iter().copied());
-        // Both checks probe only the buckets of this upper bound's own
-        // items (see `GeneralityIndex`). A repeat discovery, reachable
-        // only with pruning strategy 2 disabled, is dropped silently and
-        // checked first. That is exact because a duplicate and a
-        // dominator are never both accepted: the first copy passed the
-        // dominance check, and by Lemma 3.4 every more general group was
-        // judged before it.
         let irgs = &self.irgs;
-        let upper_of = |id: u32| &irgs[id as usize].upper;
-        if self.accepted.contains(&upper, upper_of) {
-            return Emit::Skip;
+        let upper_of = |id: u32| irgs[id as usize].upper.as_slice();
+        if self.defer_interesting {
+            // without strategy 1 or 2 a group can be found again; its
+            // first copy is already stored
+            if self.accepted.contains(items, upper_of) {
+                return Emit::Skip;
+            }
+        } else {
+            // strategies 1 and 2 are on, so no group is found twice
+            debug_assert!(!self.accepted.contains(items, upper_of));
+            if self.accepted.has_dominator(items, conf, upper_of) {
+                return Emit::Reject(PruneReason::NotInteresting);
+            }
         }
-        if !self.defer_interesting && self.accepted.has_dominator(&upper, conf, upper_of) {
-            return Emit::Reject(PruneReason::NotInteresting);
-        }
-        self.accepted.insert(self.irgs.len() as u32, &upper, conf);
+        self.accepted.insert(self.irgs.len() as u32, items, conf);
         self.irgs.push(Pending {
-            upper,
+            upper: IdList::from_sorted(items.to_vec()),
             rows: z.clone(),
             sup_p,
             sup_n,
         });
-        Emit::Accept
+        if self.defer_interesting {
+            Emit::Store
+        } else {
+            Emit::Accept
+        }
     }
 }
 

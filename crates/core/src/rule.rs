@@ -208,6 +208,40 @@ pub struct MineStats {
 }
 
 impl MineStats {
+    /// Adds another search's `tally` to this one, as a parallel run
+    /// sums its workers: the counters add, `budget_exhausted` is either
+    /// one's, and the stop causes [`merge`](StopCause::merge). Every
+    /// field is named, so a counter added later cannot be left out of
+    /// the sum without a compile error.
+    pub fn absorb(&mut self, tally: &MineStats) {
+        let MineStats {
+            nodes_visited,
+            pruned_duplicate,
+            pruned_loose,
+            pruned_tight_support,
+            pruned_tight_confidence,
+            pruned_chi,
+            rows_compressed,
+            rejected_not_interesting,
+            pruned_floor,
+            pruned_frontier,
+            budget_exhausted,
+            stop,
+        } = tally;
+        self.nodes_visited += nodes_visited;
+        self.pruned_duplicate += pruned_duplicate;
+        self.pruned_loose += pruned_loose;
+        self.pruned_tight_support += pruned_tight_support;
+        self.pruned_tight_confidence += pruned_tight_confidence;
+        self.pruned_chi += pruned_chi;
+        self.rows_compressed += rows_compressed;
+        self.rejected_not_interesting += rejected_not_interesting;
+        self.pruned_floor += pruned_floor;
+        self.pruned_frontier += pruned_frontier;
+        self.budget_exhausted |= budget_exhausted;
+        self.stop = self.stop.merge(*stop);
+    }
+
     /// The counter tallying `reason`, so every [`PruneReason`] variant
     /// maps to exactly one stats field (the exhaustive `match` turns a
     /// forgotten mapping into a compile error; the parity test in
@@ -251,7 +285,10 @@ pub struct SchedStats {
 /// The result of one mining run.
 #[derive(Clone, Debug)]
 pub struct MineResult {
-    /// The interesting rule groups, in discovery order.
+    /// The interesting rule groups: in discovery order when a
+    /// sequential search judged step 7 as it went, in generality order
+    /// when step 7 ran after the search (parallel runs, harvest mode,
+    /// pruning strategy 1 or 2 off).
     pub groups: Vec<RuleGroup>,
     /// Search counters.
     pub stats: MineStats,

@@ -140,6 +140,9 @@ pub(crate) enum Emit {
     Skip,
     /// The group joined the result.
     Accept,
+    /// The group was kept for a step-7 pass after the search, which
+    /// reports it then.
+    Store,
     /// The group met the thresholds but was cut for this reason.
     Reject(PruneReason),
 }
@@ -208,7 +211,7 @@ pub(crate) struct Search<'a, P, O: ?Sized, T: ?Sized> {
     /// The trace lane this search records on.
     pub(crate) lane: usize,
     pub(crate) stats: MineStats,
-    /// Groups accepted so far, for heartbeats.
+    /// Groups accepted or stored so far, for heartbeats.
     found: usize,
 }
 
@@ -586,6 +589,7 @@ impl<'a, P: Policy, O: MineObserver + ?Sized, T: TraceSink + ?Sized> Search<'a, 
                 self.found += 1;
                 self.obs.group_emitted(sup_p, sup_n);
             }
+            Emit::Store => self.found += 1,
             Emit::Reject(reason) => self.cut(reason),
         }
     }

@@ -49,7 +49,8 @@ pub enum PruneReason {
     /// χ² (or convex-measure) upper bound.
     ChiBound,
     /// A threshold-passing group dominated by a more general one
-    /// (step 7 of the search, or the parallel merge pass).
+    /// (step 7 of the search, in a parallel worker too, or the pass
+    /// after the search).
     NotInteresting,
     /// Top-k mining only: the rising per-row confidence floor.
     ConfidenceFloor,
@@ -158,7 +159,8 @@ impl StopCause {
 pub struct Heartbeat {
     /// Enumeration nodes entered so far.
     pub nodes_visited: u64,
-    /// Groups accepted so far.
+    /// Groups accepted so far; in harvest mode or with pruning strategy
+    /// 1 or 2 off, groups stored for the step-7 pass at the end.
     pub groups_found: usize,
     /// Wall time since the run started.
     pub elapsed: Duration,
@@ -175,9 +177,19 @@ pub struct Heartbeat {
 /// threads (that would either race or serialize the search). Instead
 /// each worker's counters arrive through [`worker_finished`] in
 /// worker-index order after the join, and the merge phase — which is
-/// sequential and deterministic — fires [`group_emitted`] /
-/// [`pruned`]`(NotInteresting)` per merged group. The observer therefore
-/// sees a deterministic event sequence regardless of scheduling.
+/// sequential and deterministic — then fires [`group_emitted`] /
+/// [`pruned`]`(NotInteresting)` per merged group. A worker drops the
+/// groups that a more general group it accepted dominates, so those
+/// rejections arrive in its tally's `rejected_not_interesting`, and the
+/// merge's events cover only the rest. Which worker ran which subtree,
+/// and so each tally, depends on scheduling, but the totals do not:
+/// tallies plus events equal the run's [`MineStats`], as they do for a
+/// sequential run's events.
+///
+/// **Step 7 at the end:** in harvest mode, or with pruning strategy 1
+/// or 2 off, the search stores groups unjudged and step 7 runs once
+/// after it, at every thread count, so every `group_emitted` and
+/// `pruned(NotInteresting)` event comes after the search's others.
 ///
 /// [`worker_finished`]: MineObserver::worker_finished
 /// [`group_emitted`]: MineObserver::group_emitted

@@ -1,8 +1,9 @@
 //! Parallel mining must be exactly equivalent to the sequential run.
 
-use farmer_core::{Farmer, MiningParams, PruningConfig, RuleGroup};
+use farmer_bench::workloads::efficiency_dataset;
+use farmer_core::{Farmer, MineStats, MiningParams, PruningConfig, RuleGroup};
 use farmer_dataset::discretize::Discretizer;
-use farmer_dataset::synth::SynthConfig;
+use farmer_dataset::synth::{PaperDataset, SynthConfig};
 use farmer_dataset::{paper_example, DatasetBuilder};
 use farmer_support::rng::{Rng, SeedableRng, StdRng};
 
@@ -28,6 +29,32 @@ fn canon(groups: &[RuleGroup]) -> Vec<CanonGroup> {
     v
 }
 
+/// A parallel run's stats as the sequential run counts them: each
+/// worker counts the shared root once, so `threads - 1` nodes more.
+fn as_sequential(mut stats: MineStats, threads: usize) -> MineStats {
+    stats.nodes_visited -= threads as u64 - 1;
+    stats
+}
+
+/// The two ways to find a group more than once: without strategy 1 a
+/// node's child on a row of its own support set has the node's upper
+/// bound, and without strategy 2 a duplicate subtree is searched again,
+/// often under another depth-1 subtree and by another worker.
+const REPEATING: [PruningConfig; 2] = [
+    PruningConfig {
+        strategy1_compression: false,
+        strategy2_duplicate: true,
+        strategy3_loose: true,
+        strategy3_tight: true,
+    },
+    PruningConfig {
+        strategy1_compression: true,
+        strategy2_duplicate: false,
+        strategy3_loose: true,
+        strategy3_tight: true,
+    },
+];
+
 #[test]
 fn parallel_equals_sequential_on_paper_example() {
     let d = paper_example();
@@ -51,13 +78,10 @@ fn parallel_equals_sequential_on_paper_example() {
 
 #[test]
 fn parallel_equals_sequential_on_random_data() {
-    // Without pruning strategy 2 one group is found under several
-    // depth-1 subtrees, often by different workers, and the merge must
-    // keep exactly one copy, as the sequential run does.
-    let no_strategy2 = PruningConfig {
-        strategy2_duplicate: false,
-        ..PruningConfig::default()
-    };
+    // Without pruning strategy 1 or 2 one group is found more than
+    // once, often by different workers, and the merge must keep exactly
+    // one copy, as the sequential run does. The counters must agree
+    // too, rejections included.
     let mut rng = StdRng::seed_from_u64(21);
     for trial in 0..10 {
         let mut b = DatasetBuilder::new(2);
@@ -70,17 +94,41 @@ fn parallel_equals_sequential_on_random_data() {
             .min_sup(rng.gen_range(1..=2))
             .min_conf([0.0, 0.6][trial % 2])
             .min_chi([0.0, 0.5][trial % 2]);
-        for pruning in [PruningConfig::default(), no_strategy2] {
+        for pruning in [PruningConfig::default(), REPEATING[0], REPEATING[1]] {
             let seq = Farmer::new(params.clone()).with_pruning(pruning).mine(&d);
             let par = Farmer::new(params.clone())
                 .with_pruning(pruning)
                 .with_parallelism(4)
                 .mine(&d);
-            assert_eq!(
-                canon(&par.groups),
-                canon(&seq.groups),
-                "trial={trial} pruning={pruning:?}"
-            );
+            let tag = format!("trial={trial} pruning={pruning:?}");
+            assert_eq!(canon(&par.groups), canon(&seq.groups), "{tag}");
+            assert_eq!(as_sequential(par.stats, 4), seq.stats, "{tag}");
+        }
+    }
+}
+
+#[test]
+fn repeated_groups_count_each_rejection_once_at_every_thread_count() {
+    // Without strategy 1 or 2 a group that step 7 rejects is found
+    // again. Each distinct group counts once, as with both strategies
+    // on (115 on this input, `tests/search_contract.rs`), however many
+    // times and by however many threads it is found.
+    let d = efficiency_dataset(PaperDataset::Leukemia, 0.05);
+    let params = MiningParams::new(1).min_sup(6).lower_bounds(false);
+    for pruning in REPEATING {
+        let mine = |threads| {
+            Farmer::new(params.clone())
+                .with_pruning(pruning)
+                .with_parallelism(threads)
+                .mine(&d)
+        };
+        let seq = mine(1);
+        assert_eq!(seq.stats.rejected_not_interesting, 115, "{pruning:?}");
+        for threads in [2, 4] {
+            let par = mine(threads);
+            let tag = format!("{pruning:?} threads={threads}");
+            assert_eq!(canon(&par.groups), canon(&seq.groups), "{tag}");
+            assert_eq!(as_sequential(par.stats, threads), seq.stats, "{tag}");
         }
     }
 }

@@ -271,21 +271,21 @@ check! {
                 _ => seen[base % seen.len()].union(&extra),
             };
             let conf = conf_pct as f64 / 100.0;
-            let upper_of = |id: u32| &inserted[id as usize].0;
+            let upper_of = |id: u32| inserted[id as usize].0.as_slice();
             let dominated = inserted
                 .iter()
                 .any(|(a, a_conf)| a.len() < upper.len() && a.is_subset(&upper) && *a_conf >= conf);
             prop_assert_eq!(
-                index.has_dominator(&upper, conf, upper_of),
+                index.has_dominator(upper.as_slice(), conf, upper_of),
                 dominated,
                 "dominator of {:?} at {}",
                 upper,
                 conf
             );
             let equal = inserted.iter().any(|(a, _)| *a == upper);
-            prop_assert_eq!(index.contains(&upper, upper_of), equal, "equal to {:?}", upper);
+            prop_assert_eq!(index.contains(upper.as_slice(), upper_of), equal, "equal to {:?}", upper);
             if kind < 2 {
-                index.insert(inserted.len() as u32, &upper, conf);
+                index.insert(inserted.len() as u32, upper.as_slice(), conf);
                 inserted.push((upper.clone(), conf));
             }
             seen.push(upper);
@@ -336,9 +336,12 @@ check! {
 
     /// A frontier run (`Farmer::with_frontier`) returns exactly the cold
     /// harvest's groups whose support meets the frontier, lower bounds
-    /// included, and visits no more nodes than the cold harvest.
-    /// `from_class` 0 or 1 draws the `k` frontier rows from that class,
-    /// 2 from all rows.
+    /// included, and visits no more nodes than the cold harvest, less
+    /// the shared root that each extra worker counts. `from_class` 0 or
+    /// 1 draws the `k` frontier rows from that class, 2 from all rows.
+    /// The frontier run mines on `threads` threads, the cold harvest on
+    /// one, so a parallel harvest must keep every threshold-passing
+    /// group too.
     #[test]
     fn frontier_run_equals_filtered_cold_harvest(
         d in arb_dataset(),
@@ -346,6 +349,7 @@ check! {
         min_sup in 1usize..3,
         lower_bounds in select(vec![false, true]),
         (k, from_class, offset) in (1usize..4, 0u32..3, 0usize..8),
+        threads in 1usize..3,
     ) {
         let n = d.n_rows();
         let pool: Vec<usize> = (0..n)
@@ -363,7 +367,10 @@ check! {
             .lower_bounds(lower_bounds);
         let harvest = || Farmer::new(params.clone()).with_harvest(true);
         let cold = harvest().mine(&d);
-        let run = harvest().with_frontier(frontier.clone()).mine(&d);
+        let run = harvest()
+            .with_frontier(frontier.clone())
+            .with_parallelism(threads)
+            .mine(&d);
         let mut want: Vec<RuleGroup> = cold
             .groups
             .into_iter()
@@ -373,10 +380,12 @@ check! {
         canonical_sort(&mut want);
         canonical_sort(&mut got);
         prop_assert_eq!(dump_groups(&got), dump_groups(&want));
+        let extra_roots = threads as u64 - 1;
         prop_assert!(
-            run.stats.nodes_visited <= cold.stats.nodes_visited,
-            "frontier run visited {} nodes, cold harvest {}",
+            run.stats.nodes_visited <= cold.stats.nodes_visited + extra_roots,
+            "frontier run visited {} nodes on {} threads, cold harvest {}",
             run.stats.nodes_visited,
+            threads,
             cold.stats.nodes_visited
         );
     }

@@ -1,6 +1,7 @@
 //! Session-layer integration: budget/deadline/cancellation semantics,
 //! the partial-result prefix guarantee, and observer/stats agreement.
 
+use farmer_bench::workloads::efficiency_dataset;
 use farmer_core::naive::NaiveMiner;
 use farmer_core::topk::TopKMiner;
 use farmer_core::{
@@ -8,7 +9,7 @@ use farmer_core::{
     NoOpObserver, PruneReason, StopCause,
 };
 use farmer_dataset::discretize::Discretizer;
-use farmer_dataset::synth::SynthConfig;
+use farmer_dataset::synth::{PaperDataset, SynthConfig};
 use farmer_dataset::{paper_example, DatasetBuilder};
 use std::time::{Duration, Instant};
 
@@ -176,6 +177,68 @@ fn observer_counts_equal_stats_parallel() {
         assert_eq!(obs.pruned_chi, s.pruned_chi);
         assert_eq!(obs.rejected_not_interesting, s.rejected_not_interesting);
         assert_eq!(obs.emitted as usize, r.len());
+    }
+}
+
+/// Keeps the step-7 rejections that arrive in the workers' tallies
+/// apart from the `pruned(NotInteresting)` events of the merge.
+#[derive(Default)]
+struct RejectionSplit {
+    /// `worker_finished` indices, in arrival order.
+    workers: Vec<usize>,
+    /// Rejections summed over the tallies.
+    in_tallies: u64,
+    /// `pruned(NotInteresting)` events.
+    events: u64,
+    /// Tallies that arrived after the first such event.
+    late_tallies: usize,
+}
+
+impl MineObserver for RejectionSplit {
+    fn pruned(&mut self, reason: PruneReason) {
+        if reason == PruneReason::NotInteresting {
+            self.events += 1;
+        }
+    }
+
+    fn worker_finished(&mut self, worker: usize, tally: &MineStats) {
+        self.workers.push(worker);
+        self.in_tallies += tally.rejected_not_interesting;
+        self.late_tallies += usize::from(self.events > 0);
+    }
+}
+
+#[test]
+fn parallel_workers_report_their_rejections_in_their_tallies() {
+    // The leukemia analog of `tests/search_contract.rs`: a sequential
+    // run rejects 115 groups. Each worker rejects the groups that a
+    // group it accepted itself dominates, and counts them in its tally;
+    // the merge rejects the rest, for dominators other workers found.
+    let d = efficiency_dataset(PaperDataset::Leukemia, 0.05);
+    let params = MiningParams::new(1).min_sup(6).lower_bounds(false);
+    let seq = Farmer::new(params.clone()).mine(&d);
+    assert_eq!(seq.stats.rejected_not_interesting, 115);
+    for threads in [2, 4] {
+        let mut obs = RejectionSplit::default();
+        let r = Farmer::new(params.clone())
+            .with_parallelism(threads)
+            .mine_session(&d, &MineControl::new(), &mut obs);
+        let tag = format!(
+            "threads={threads}: {} in tallies, {} in the merge",
+            obs.in_tallies, obs.events
+        );
+        assert!(obs.in_tallies > 0, "{tag}");
+        assert_eq!(
+            obs.in_tallies + obs.events,
+            r.stats.rejected_not_interesting,
+            "{tag}"
+        );
+        assert_eq!(
+            r.stats.rejected_not_interesting, seq.stats.rejected_not_interesting,
+            "{tag}"
+        );
+        assert_eq!(obs.workers, (0..threads).collect::<Vec<_>>(), "{tag}");
+        assert_eq!(obs.late_tallies, 0, "{tag}: tallies after merge events");
     }
 }
 

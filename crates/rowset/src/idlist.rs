@@ -174,24 +174,7 @@ impl IdList {
 
     /// `true` iff every id of `self` is in `other`. `O(|a| + |b|)`.
     pub fn is_subset(&self, other: &IdList) -> bool {
-        if self.len() > other.len() {
-            return false;
-        }
-        let mut j = 0;
-        'outer: for &a in &self.ids {
-            while j < other.ids.len() {
-                match other.ids[j].cmp(&a) {
-                    std::cmp::Ordering::Less => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        j += 1;
-                        continue 'outer;
-                    }
-                    std::cmp::Ordering::Greater => return false,
-                }
-            }
-            return false;
-        }
-        true
+        is_subset_sorted(&self.ids, &other.ids)
     }
 
     /// `true` iff the lists share no id. `O(|a| + |b|)`.
@@ -208,6 +191,29 @@ impl IdList {
     pub fn into_vec(self) -> Vec<u32> {
         self.ids
     }
+}
+
+/// [`IdList::is_subset`] on borrowed lists: `true` iff every id of `a`
+/// is in `b`, both strictly ascending. `O(|a| + |b|)`.
+pub fn is_subset_sorted(a: &[u32], b: &[u32]) -> bool {
+    if a.len() > b.len() {
+        return false;
+    }
+    let mut j = 0;
+    'outer: for &x in a {
+        while j < b.len() {
+            match b[j].cmp(&x) {
+                std::cmp::Ordering::Less => j += 1,
+                std::cmp::Ordering::Equal => {
+                    j += 1;
+                    continue 'outer;
+                }
+                std::cmp::Ordering::Greater => return false,
+            }
+        }
+        return false;
+    }
+    true
 }
 
 impl FromIterator<u32> for IdList {

@@ -21,4 +21,4 @@ mod bitset;
 mod idlist;
 
 pub use bitset::{FromWordsError, RowSet, RowSetIter, RowSetRuns};
-pub use idlist::IdList;
+pub use idlist::{is_subset_sorted, IdList};

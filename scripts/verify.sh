@@ -42,12 +42,15 @@ grep -q '"stop": "budget"' "$tmp/trunc.json"
 ./target/release/farmer mine --in "$tmp/m.txt" --min-sup 3 --threads 2 --stats-json > "$tmp/par.json"
 grep -q '"scheduler"' "$tmp/par.json"
 grep -q '"peak_arena_depth"' "$tmp/par.json"
-# every engine answers step 7 with the same code: FARMER and the four
-# column-enumeration baselines must report the same groups and the same
-# count of dominated ones
+# every engine answers step 7 with the same code: FARMER, FARMER on two
+# threads (whose workers drop dominated groups themselves and hand their
+# count to the merge) and the four column-enumeration baselines must
+# report the same groups and the same count of dominated ones
 agree=""
-for algo in farmer charm closet apriori column-e; do
-  ./target/release/farmer mine --in "$tmp/m.txt" --algo "$algo" --min-sup 3 \
+for algo in farmer "farmer --threads 2" charm closet apriori column-e; do
+  # word splitting is wanted: an entry is an algorithm and its flags
+  # shellcheck disable=SC2086
+  ./target/release/farmer mine --in "$tmp/m.txt" --algo $algo --min-sup 3 \
     --stats-json > "$tmp/algo.json"
   got="$(sed -n 's/.*"\(n_groups\|not_interesting\)": \([0-9]*\).*/\1=\2/p' \
     "$tmp/algo.json" | tr '\n' ' ')"
